@@ -116,18 +116,16 @@ impl HostSide {
         let switched = self.last_kind.is_some_and(|prev| prev != kind);
         metrics::inc(metrics::CCI_CHANNEL_PACKETS, idx, 1);
         metrics::inc(metrics::CCI_CHANNEL_SWITCHES, idx, switched as u64);
-        if trace::enabled() {
-            if switched {
-                trace::instant(Track::channels(), "channel_switch", now, &[("channel", idx as u64)]);
-                trace::count(Track::channels(), metrics::def(metrics::CCI_CHANNEL_SWITCHES).name, 1);
-            }
-            let counter = match kind {
-                ChannelKind::Upi => "upi_packets",
-                ChannelKind::Pcie0 => "pcie0_packets",
-                ChannelKind::Pcie1 => "pcie1_packets",
-            };
-            trace::count(Track::channels(), counter, 1);
+        if switched {
+            trace::instant(Track::channels(), "channel_switch", now, &[("channel", idx as u64)]);
+            trace::count(Track::channels(), metrics::def(metrics::CCI_CHANNEL_SWITCHES).name, 1);
         }
+        let counter = match kind {
+            ChannelKind::Upi => "upi_packets",
+            ChannelKind::Pcie0 => "pcie0_packets",
+            ChannelKind::Pcie1 => "pcie1_packets",
+        };
+        trace::count(Track::channels(), counter, 1);
         self.last_kind = Some(kind);
     }
 
@@ -197,18 +195,10 @@ impl HostSide {
                 self.account_channel(kind, now);
                 match self.iommu.translate_tagged(iova, false, now, src.0 as u32) {
                     Ok(tr) => {
-                        if spec::enabled() {
-                            // The device scope is claimed by the stepping
-                            // hypervisor before `device.run`, so it names
-                            // the device this host side belongs to.
-                            spec::check_dma(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                tr.hpa.raw(),
-                                false,
-                            );
-                        }
+                        // The device scope is claimed by the stepping
+                        // hypervisor before `device.run`, so it names
+                        // the device this host side belongs to.
+                        spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), false);
                         let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
                         let data = Box::new(self.memory.read_line(tr.hpa));
                         self.total_dma_bytes += 64;
@@ -216,22 +206,13 @@ impl HostSide {
                             (done + self.channels.response_latency(kind)).ceil() as Cycle;
                         metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
                         metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        if trace::enabled() {
-                            let link = Track::link(src.0 as usize);
-                            trace::complete(link, "dma_read", now, ready - now, &[("iova", iova.raw())]);
-                            trace::count(link, "dma_read_bytes", 64);
-                        }
+                        let link = Track::link(src.0 as usize);
+                        trace::complete(link, "dma_read", now, ready - now, &[("iova", iova.raw())]);
+                        trace::count(link, "dma_read_bytes", 64);
                         self.push_outbound(DownPacket::DmaReadResp { data, dst: src, tag }, ready);
                     }
                     Err(e) => {
-                        if spec::enabled() {
-                            spec::check_dma_fault(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                false,
-                            );
-                        }
+                        spec::check_dma_fault(src.0 as u32, iova.raw(), false);
                         self.faulted_dmas += 1;
                         self.last_fault = Some(e);
                     }
@@ -242,15 +223,7 @@ impl HostSide {
                 self.account_channel(kind, now);
                 match self.iommu.translate_tagged(iova, true, now, src.0 as u32) {
                     Ok(tr) => {
-                        if spec::enabled() {
-                            spec::check_dma(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                tr.hpa.raw(),
-                                true,
-                            );
-                        }
+                        spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), true);
                         let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
                         self.memory.write_line(tr.hpa, &data);
                         self.total_dma_bytes += 64;
@@ -258,22 +231,13 @@ impl HostSide {
                             (done + self.channels.response_latency(kind)).ceil() as Cycle;
                         metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
                         metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        if trace::enabled() {
-                            let link = Track::link(src.0 as usize);
-                            trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
-                            trace::count(link, "dma_write_bytes", 64);
-                        }
+                        let link = Track::link(src.0 as usize);
+                        trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
+                        trace::count(link, "dma_write_bytes", 64);
                         self.push_outbound(DownPacket::DmaWriteAck { dst: src, tag }, ready);
                     }
                     Err(e) => {
-                        if spec::enabled() {
-                            spec::check_dma_fault(
-                                metrics::device_scope(),
-                                src.0 as u32,
-                                iova.raw(),
-                                true,
-                            );
-                        }
+                        spec::check_dma_fault(src.0 as u32, iova.raw(), true);
                         self.faulted_dmas += 1;
                         self.last_fault = Some(e);
                     }
@@ -307,20 +271,18 @@ impl HostSide {
                     tenant,
                     (done - start).ceil() as u64,
                 );
-                if trace::enabled() {
-                    trace::complete(
-                        Track::iommu(),
-                        "page_walk",
-                        start.ceil() as Cycle,
-                        (done - start).ceil() as Cycle,
-                        &[("walker", walker_idx as u64), ("walk_steps", walk_steps as u64)],
-                    );
-                    trace::count(
-                        Track::iommu(),
-                        metrics::def(metrics::MEM_PAGE_WALK_CYCLES).name,
-                        (done - start).ceil() as u64,
-                    );
-                }
+                trace::complete(
+                    Track::iommu(),
+                    "page_walk",
+                    start.ceil() as Cycle,
+                    (done - start).ceil() as Cycle,
+                    &[("walker", walker_idx as u64), ("walk_steps", walk_steps as u64)],
+                );
+                trace::count(
+                    Track::iommu(),
+                    metrics::def(metrics::MEM_PAGE_WALK_CYCLES).name,
+                    (done - start).ceil() as u64,
+                );
                 done
             }
         };

@@ -94,8 +94,8 @@ impl HcPlatform {
             host,
             engine: DmaEngine::new(AccelId(0)),
             now: 0,
-            fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            fastfwd: optimus_sim::obs::env().fast_forward,
+            batch: optimus_sim::obs::env().batch_step,
         }
     }
 

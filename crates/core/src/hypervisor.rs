@@ -33,12 +33,10 @@ use optimus_fabric::platform::{DeviceId, FabricError, PlatformDevice};
 use optimus_mem::addr::{Gva, Hpa, Iova, PageSize, PAGE_2M, PAGE_4K};
 use optimus_mem::host::FrameFiller;
 use optimus_mem::page_table::PageFlags;
-use optimus_sim::journal;
-use optimus_sim::metrics;
 use optimus_sim::rng::derive_seed;
-use optimus_sim::spec;
 use optimus_sim::time::{ms_to_cycles, ns_to_cycles, Cycle};
 use optimus_sim::trace::{self, Track};
+use optimus_sim::{journal, metrics, obs, spec};
 use std::collections::BTreeMap;
 
 /// The accelerator seed for physical slot `i`.
@@ -673,7 +671,7 @@ impl<D: PlatformDevice> Optimus<D> {
     fn advance(&mut self, cycles: Cycle) {
         // Everything the device records while stepping (IOTLB, channels,
         // mux tree, auditors) lands under this hypervisor's device id.
-        metrics::set_device(self.device_id.0);
+        obs::set_device(self.device_id.0);
         self.device.run(cycles);
     }
 
@@ -683,14 +681,12 @@ impl<D: PlatformDevice> Optimus<D> {
     fn trap_cost(&mut self, va: VaccelId, offset: u64) {
         self.stats.traps += 1;
         let c = self.trap.cycles();
-        metrics::set_device(self.device_id.0);
+        obs::set_device(self.device_id.0);
         metrics::inc(metrics::HV_MMIO_TRAPS, va.0, 1);
         metrics::observe(metrics::HV_MMIO_TRAP_CYCLES, va.0, c);
-        if trace::enabled() {
-            let t = Track::vaccel(va.0);
-            trace::complete(t, "mmio_trap", self.device.now(), c, &[("offset", offset)]);
-            trace::count(t, metrics::def(metrics::HV_MMIO_TRAPS).name, 1);
-        }
+        let t = Track::vaccel(va.0);
+        trace::complete(t, "mmio_trap", self.device.now(), c, &[("offset", offset)]);
+        trace::count(t, metrics::def(metrics::HV_MMIO_TRAPS).name, 1);
         self.advance(c);
     }
 
@@ -754,27 +750,21 @@ impl<D: PlatformDevice> Optimus<D> {
                 self.slicing.slice_bytes,
             );
         }
-        if spec::enabled() {
-            spec::bind_slot(self.device_id.0, slot, self.vaccel(va).vm.0);
-        }
+        spec::bind_slot(self.device_id.0, slot, self.vaccel(va).vm.0);
         let v = self.vaccel(va);
         let state_buffer = v.state_buffer.raw();
         let run = v.run;
         let pending_start = v.pending_start;
         let job = v.job;
-        if job != 0 {
-            if journal::enabled() {
-                let ph = match run {
-                    VaccelRun::SavedInMemory => journal::Phase::Restored,
-                    _ => journal::Phase::Installed,
-                };
-                journal::phase(job, ph, install_start);
-            }
-            if trace::enabled() && run == VaccelRun::SavedInMemory {
-                // Close the flow arrow the save opened: the job's span
-                // resumes here after its off-hardware gap.
-                trace::flow_end(Track::vaccel(va.0), "job", install_start, job);
-            }
+        let ph = match run {
+            VaccelRun::SavedInMemory => journal::Phase::Restored,
+            _ => journal::Phase::Installed,
+        };
+        journal::phase(job, ph, install_start);
+        if run == VaccelRun::SavedInMemory {
+            // Close the flow arrow the save opened: the job's span resumes
+            // here after its off-hardware gap.
+            trace::flow_end(Track::vaccel(va.0), "job", install_start, job);
         }
         self.device.mmio_write(base + accel_reg::CTRL_STATE_ADDR, state_buffer);
         // Move the cached register file out, replay it, and move it back:
@@ -799,26 +789,22 @@ impl<D: PlatformDevice> Optimus<D> {
         self.slots[slot].current = Some(va);
         // Let the install MMIOs settle (they are asynchronous writes).
         self.advance(ns_to_cycles(500.0));
-        if job != 0 && journal::enabled() {
-            journal::phase(job, journal::Phase::Executing, self.device.now());
-        }
+        journal::phase(job, journal::Phase::Executing, self.device.now());
         metrics::inc(metrics::HV_INSTALLS, va.0, 1);
         metrics::observe(metrics::HV_INSTALL_CYCLES, va.0, self.device.now() - install_start);
-        if trace::enabled() {
-            // Register replay + reset + CMD_RESUME/CMD_START: the restore
-            // half of the preemption machinery (a fresh start shows as
-            // `preempt.install`, resuming saved state as `preempt.restore`).
-            let name = match run {
-                VaccelRun::SavedInMemory => "preempt.restore",
-                _ => "preempt.install",
-            };
-            let t = Track::vaccel(va.0);
-            trace::complete(t, name, install_start, self.device.now() - install_start, &[(
-                "slot",
-                slot as u64,
-            )]);
-            trace::count(t, metrics::def(metrics::HV_INSTALLS).name, 1);
-        }
+        // Register replay + reset + CMD_RESUME/CMD_START: the restore
+        // half of the preemption machinery (a fresh start shows as
+        // `preempt.install`, resuming saved state as `preempt.restore`).
+        let name = match run {
+            VaccelRun::SavedInMemory => "preempt.restore",
+            _ => "preempt.install",
+        };
+        let t = Track::vaccel(va.0);
+        trace::complete(t, name, install_start, self.device.now() - install_start, &[(
+            "slot",
+            slot as u64,
+        )]);
+        trace::count(t, metrics::def(metrics::HV_INSTALLS).name, 1);
     }
 
     /// Preempts the vaccel currently on `slot` (if any), waiting for the
@@ -832,19 +818,25 @@ impl<D: PlatformDevice> Optimus<D> {
         // returns): a migration-driven preempt arrives from outside the
         // run loop, where the ambient device scope may still belong to a
         // sibling device on the node.
-        metrics::set_device(self.device_id.0);
+        obs::set_device(self.device_id.0);
         let base = accel_mmio_base(slot);
-        // Fast path: a job that already completed needs no save — but its
-        // result registers are about to be lost to the next install, so
-        // harvest them into the vaccel's cached register file first (the
-        // guest keeps reading results through the shadow after eviction).
-        if self.device.accel_status(slot) == CtrlStatus::Done {
-            self.harvest_app_regs(va, slot);
-            self.retire(va);
-            self.slots[slot].current = None;
-            if spec::enabled() {
-                spec::unbind_slot(self.device_id.0, slot);
+        // Fast paths with nothing to drain or save. A job that already
+        // completed has its result registers about to be lost to the next
+        // install, so harvest them into the vaccel's cached register file
+        // first (the guest keeps reading results through the shadow after
+        // eviction). A vaccel that never started on this install (registers
+        // programmed, no `CMD_START` yet) stays `Fresh`, so its next install
+        // replays its registers instead of resuming state never written.
+        let status = self.device.accel_status(slot);
+        if matches!(status, CtrlStatus::Done | CtrlStatus::Idle) {
+            if status == CtrlStatus::Done {
+                self.harvest_app_regs(va, slot);
+                self.retire(va);
+            } else {
+                self.vaccel_mut(va).run = VaccelRun::Fresh;
             }
+            self.slots[slot].current = None;
+            spec::unbind_slot(self.device_id.0, slot);
             return;
         }
         // Resolve the guest-provided state buffer before trusting the
@@ -875,25 +867,19 @@ impl<D: PlatformDevice> Optimus<D> {
                 job: (job != 0).then_some(job),
                 peer_job: None,
             });
-            if job != 0 && journal::enabled() {
-                journal::phase(job, journal::Phase::SaveRefused, self.device.now());
-            }
+            journal::phase(job, journal::Phase::SaveRefused, self.device.now());
             let v = self.vaccel_mut(va);
             v.forced_resets += 1;
             v.run = VaccelRun::Fresh;
             v.pending_start = true;
-            if trace::enabled() {
-                trace::instant(
-                    Track::vaccel(va.0),
-                    "preempt.save_refused",
-                    self.device.now(),
-                    &[("slot", slot as u64)],
-                );
-            }
+            trace::instant(
+                Track::vaccel(va.0),
+                "preempt.save_refused",
+                self.device.now(),
+                &[("slot", slot as u64)],
+            );
             self.slots[slot].current = None;
-            if spec::enabled() {
-                spec::unbind_slot(self.device_id.0, slot);
-            }
+            spec::unbind_slot(self.device_id.0, slot);
             return;
         }
         self.device.mmio_write(base + accel_reg::CTRL_CMD, accel_reg::CMD_PREEMPT);
@@ -901,25 +887,18 @@ impl<D: PlatformDevice> Optimus<D> {
         let preempt_start = self.device.now();
         metrics::inc(metrics::HV_PREEMPTIONS, slot as u32, 1);
         let job = self.vaccel(va).job;
-        if job != 0 && journal::enabled() {
-            journal::phase(job, journal::Phase::Preempted, preempt_start);
-        }
+        journal::phase(job, journal::Phase::Preempted, preempt_start);
         let track = Track::vaccel(va.0);
-        if trace::enabled() {
-            // Drain phase: from CMD_PREEMPT until the accelerator reports
-            // it started streaming state out.
-            trace::begin(track, "preempt.drain", preempt_start, &[("slot", slot as u64)]);
-            trace::count(track, "preemptions", 1);
-        }
+        // Drain phase: from CMD_PREEMPT until the accelerator reports
+        // it started streaming state out.
+        trace::begin(track, "preempt.drain", preempt_start, &[("slot", slot as u64)]);
+        trace::count(track, "preemptions", 1);
         let mut saving_seen = false;
         let deadline = preempt_start + self.preempt_timeout;
         loop {
             self.advance(ns_to_cycles(1000.0));
             let status = self.device.accel_status(slot);
-            if trace::enabled()
-                && !saving_seen
-                && matches!(status, CtrlStatus::Saving | CtrlStatus::Saved)
-            {
+            if !saving_seen && matches!(status, CtrlStatus::Saving | CtrlStatus::Saved) {
                 // Drain ended, save streaming began (observed at the
                 // hypervisor's polling granularity; the fabric-side
                 // `preempt.save` span on the accel track is cycle-exact).
@@ -936,23 +915,16 @@ impl<D: PlatformDevice> Optimus<D> {
                         slot as u32,
                         self.device.now() - preempt_start,
                     );
-                    if job != 0 && journal::enabled() {
-                        journal::phase(job, journal::Phase::Saved, self.device.now());
+                    journal::phase(job, journal::Phase::Saved, self.device.now());
+                    let now = self.device.now();
+                    if saving_seen {
+                        trace::end(track, "preempt.save", now);
+                    } else {
+                        trace::end(track, "preempt.drain", now);
                     }
-                    if trace::enabled() {
-                        let now = self.device.now();
-                        if saving_seen {
-                            trace::end(track, "preempt.save", now);
-                        } else {
-                            trace::end(track, "preempt.drain", now);
-                        }
-                        if job != 0 {
-                            // Open a flow arrow to the eventual restore
-                            // (or migration target): the job leaves the
-                            // hardware here.
-                            trace::flow_start(track, "job", now, job);
-                        }
-                    }
+                    // Open a flow arrow to the eventual restore (or
+                    // migration target): the job leaves the hardware here.
+                    trace::flow_start(track, "job", now, job);
                     break;
                 }
                 _ if self.device.now() >= deadline => {
@@ -974,34 +946,28 @@ impl<D: PlatformDevice> Optimus<D> {
                         job: (job != 0).then_some(job),
                         peer_job: None,
                     });
-                    if job != 0 && journal::enabled() {
-                        journal::phase(job, journal::Phase::ForcedReset, self.device.now());
-                    }
+                    journal::phase(job, journal::Phase::ForcedReset, self.device.now());
                     let v = self.vaccel_mut(va);
                     v.forced_resets += 1;
                     // The job's progress is lost; it restarts from its
                     // cached registers at its next slice.
                     v.run = VaccelRun::Fresh;
                     v.pending_start = true;
-                    if trace::enabled() {
-                        let now = self.device.now();
-                        trace::end(
-                            track,
-                            if saving_seen { "preempt.save" } else { "preempt.drain" },
-                            now,
-                        );
-                        trace::instant(track, "preempt.forced_reset", now, &[("slot", slot as u64)]);
-                        trace::count(track, metrics::def(metrics::HV_FORCED_RESETS).name, 1);
-                    }
+                    let now = self.device.now();
+                    trace::end(
+                        track,
+                        if saving_seen { "preempt.save" } else { "preempt.drain" },
+                        now,
+                    );
+                    trace::instant(track, "preempt.forced_reset", now, &[("slot", slot as u64)]);
+                    trace::count(track, metrics::def(metrics::HV_FORCED_RESETS).name, 1);
                     break;
                 }
                 _ => {}
             }
         }
         self.slots[slot].current = None;
-        if spec::enabled() {
-            spec::unbind_slot(self.device_id.0, slot);
-        }
+        spec::unbind_slot(self.device_id.0, slot);
     }
 
     /// Copies the physical slot's application register file into the
@@ -1052,16 +1018,12 @@ impl<D: PlatformDevice> Optimus<D> {
         let slot = v.slot;
         let job = v.job;
         self.slots[slot].sched.set_runnable(va.0 as u64, false);
-        if fresh && job != 0 {
-            if journal::enabled() {
-                journal::phase(job, journal::Phase::Complete, now);
-            }
-            if trace::enabled() {
-                // Open a flow arrow toward whoever consumes this job's
-                // output through a share handoff (closed at the
-                // consumer's start).
-                trace::flow_start(Track::vaccel(va.0), "job", now, job);
-            }
+        if fresh {
+            journal::phase(job, journal::Phase::Complete, now);
+            // Open a flow arrow toward whoever consumes this job's
+            // output through a share handoff (closed at the
+            // consumer's start).
+            trace::flow_start(Track::vaccel(va.0), "job", now, job);
         }
     }
 
@@ -1088,11 +1050,9 @@ impl<D: PlatformDevice> Optimus<D> {
             slot as u32,
             self.device.now().saturating_sub(self.slots[slot].slice_ends),
         );
-        if trace::enabled() {
-            let t = Track::hypervisor();
-            trace::instant(t, "slice_boundary", self.device.now(), &[("slot", slot as u64)]);
-            trace::count(t, metrics::def(metrics::HV_CONTEXT_SWITCHES).name, 1);
-        }
+        let t = Track::hypervisor();
+        trace::instant(t, "slice_boundary", self.device.now(), &[("slot", slot as u64)]);
+        trace::count(t, metrics::def(metrics::HV_CONTEXT_SWITCHES).name, 1);
         let current = self.slots[slot].current;
         // Completed jobs retire (but stay resident until displaced, so the
         // guest can read result registers from hardware).
@@ -1175,17 +1135,15 @@ impl<D: PlatformDevice> Optimus<D> {
             AlertKind::SaveRefused => self.stats.alerts_save_refused += 1,
         }
         metrics::inc(metrics::HV_ISOLATION_ALERTS, alert.kind.metric_label(), 1);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "isolation_alert",
-                alert.at,
-                &[
-                    ("kind", alert.kind.metric_label() as u64),
-                    ("slot", alert.slot.map_or(u64::MAX, |s| s as u64)),
-                ],
-            );
-        }
+        trace::instant(
+            Track::hypervisor(),
+            "isolation_alert",
+            alert.at,
+            &[
+                ("kind", alert.kind.metric_label() as u64),
+                ("slot", alert.slot.map_or(u64::MAX, |s| s as u64)),
+            ],
+        );
         self.watchdog.push(alert);
     }
 
@@ -1200,7 +1158,7 @@ impl<D: PlatformDevice> Optimus<D> {
         // The tick can fire before this hypervisor has advanced its
         // device in the current chunk, so the scope may still belong to
         // a sibling device on the node — claim it explicitly.
-        metrics::set_device(self.device_id.0);
+        obs::set_device(self.device_id.0);
         // Per-slot root grants since the last window, computed into the
         // watchdog's reusable scratch buffer so a tick allocates nothing.
         let mut deltas = std::mem::take(&mut self.watchdog.scratch);
@@ -1416,9 +1374,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 .iommu_mut()
                 .unmap(iova)
                 .expect("retrieved span was IOPT-mapped");
-            if spec::enabled() {
-                spec::relinquish_page(self.device_id.0, iova.raw(), hpa, vm.0, span.handle, how);
-            }
+            spec::relinquish_page(self.device_id.0, iova.raw(), hpa, vm.0, span.handle, how);
         }
     }
 
@@ -1462,18 +1418,16 @@ impl<D: PlatformDevice> Optimus<D> {
                 .iommu_mut()
                 .map(iova, Hpa::new(hpa), PageSize::Huge, flags)
                 .expect("fresh IOVA slice");
-            if spec::enabled() {
-                spec::retrieve_page(
-                    self.device_id.0,
-                    iova.raw(),
-                    hpa,
-                    PAGE_2M,
-                    writable,
-                    vm_id.0,
-                    None,
-                    handle,
-                );
-            }
+            spec::retrieve_page(
+                self.device_id.0,
+                iova.raw(),
+                hpa,
+                PAGE_2M,
+                writable,
+                vm_id.0,
+                None,
+                handle,
+            );
         }
         self.stats.pinned_pages += pages;
         self.foreign_retrievals.push(RetrievalState {
@@ -1534,13 +1488,14 @@ impl<D: PlatformDevice> Optimus<D> {
             return Err(MigrateError::VmShared);
         }
         // Off the hardware first: the save streams device state into the
-        // tenant's own guest buffer, which travels with its memory.
+        // tenant's own guest buffer, which travels with its memory. Then
+        // scrub the slot it vacated (§4.1 isolation hygiene — the next
+        // occupant must see no residue). A queued tenant holds no slot, so
+        // the slot's running occupant is left alone.
         if self.slots[slot].current == Some(va) {
             self.preempt_slot(slot);
+            self.device.detach_slot(slot);
         }
-        // Device-side detach: scrub the slot the tenant vacated (§4.1
-        // isolation hygiene — the next occupant must see no residue).
-        self.device.detach_slot(slot);
         let sched = self
             .slots[slot]
             .sched
@@ -1634,9 +1589,7 @@ impl<D: PlatformDevice> Optimus<D> {
                         .iommu_mut()
                         .unmap(iova)
                         .expect("tenant page was IOPT-mapped");
-                    if spec::enabled() {
-                        spec::unmap_page(self.device_id.0, iova.raw());
-                    }
+                    spec::unmap_page(self.device_id.0, iova.raw());
                 }
                 PageSize::Small => {
                     for k in 0..(PAGE_2M / PAGE_4K) {
@@ -1645,27 +1598,21 @@ impl<D: PlatformDevice> Optimus<D> {
                             .iommu_mut()
                             .unmap(Iova::new(iova.raw() + k * PAGE_4K))
                             .expect("tenant page was IOPT-mapped");
-                        if spec::enabled() {
-                            spec::unmap_page(self.device_id.0, iova.raw() + k * PAGE_4K);
-                        }
+                        spec::unmap_page(self.device_id.0, iova.raw() + k * PAGE_4K);
                     }
                 }
             }
             io_pages.push(size);
         }
-        metrics::set_device(self.device_id.0);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "migrate.detach",
-                self.device.now(),
-                &[("va", va.0 as u64), ("slot", slot as u64)],
-            );
-            if v.job != 0 {
-                // Flow arrow across the migration gap, closed at attach.
-                trace::flow_start(Track::vaccel(va.0), "job", self.device.now(), v.job);
-            }
-        }
+        obs::set_device(self.device_id.0);
+        trace::instant(
+            Track::hypervisor(),
+            "migrate.detach",
+            self.device.now(),
+            &[("va", va.0 as u64), ("slot", slot as u64)],
+        );
+        // Flow arrow across the migration gap, closed at attach.
+        trace::flow_start(Track::vaccel(va.0), "job", self.device.now(), v.job);
         Ok(TenantState {
             name: vm.name().to_string(),
             next_gva: vm.next_gva(),
@@ -1743,9 +1690,7 @@ impl<D: PlatformDevice> Optimus<D> {
                         .iommu_mut()
                         .map(iova, Hpa::new(hpa), PageSize::Huge, PageFlags::rw())
                         .expect("fresh IOVA slice");
-                    if spec::enabled() {
-                        spec::map_page(self.device_id.0, iova.raw(), hpa, PAGE_2M, true, vm_id.0);
-                    }
+                    spec::map_page(self.device_id.0, iova.raw(), hpa, PAGE_2M, true, vm_id.0);
                 }
                 PageSize::Small => {
                     for k in 0..(PAGE_2M / PAGE_4K) {
@@ -1759,16 +1704,14 @@ impl<D: PlatformDevice> Optimus<D> {
                                 PageFlags::rw(),
                             )
                             .expect("fresh IOVA slice");
-                        if spec::enabled() {
-                            spec::map_page(
-                                self.device_id.0,
-                                iova.raw() + k * PAGE_4K,
-                                hpa + k * PAGE_4K,
-                                PAGE_4K,
-                                true,
-                                vm_id.0,
-                            );
-                        }
+                        spec::map_page(
+                            self.device_id.0,
+                            iova.raw() + k * PAGE_4K,
+                            hpa + k * PAGE_4K,
+                            PAGE_4K,
+                            true,
+                            vm_id.0,
+                        );
                     }
                 }
             }
@@ -1799,18 +1742,14 @@ impl<D: PlatformDevice> Optimus<D> {
         self.slots[t.slot]
             .sched
             .insert_member(MemberState { key: id.0 as u64, ..t.sched });
-        metrics::set_device(self.device_id.0);
-        if trace::enabled() {
-            trace::instant(
-                Track::hypervisor(),
-                "migrate.attach",
-                self.device.now(),
-                &[("va", id.0 as u64), ("slot", t.slot as u64)],
-            );
-            if t.job != 0 {
-                trace::flow_end(Track::vaccel(id.0), "job", self.device.now(), t.job);
-            }
-        }
+        obs::set_device(self.device_id.0);
+        trace::instant(
+            Track::hypervisor(),
+            "migrate.attach",
+            self.device.now(),
+            &[("va", id.0 as u64), ("slot", t.slot as u64)],
+        );
+        trace::flow_end(Track::vaccel(id.0), "job", self.device.now(), t.job);
         Ok((id, copies))
     }
 
@@ -1832,9 +1771,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 }
             }
         }
-        if trace::enabled() {
-            trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
-        }
+        trace::instant(Track::hypervisor(), "live_update.freeze", self.device.now(), &[]);
         let iopt = self
             .device
             .host()
@@ -2115,9 +2052,7 @@ impl<D: PlatformDevice> Optimus<D> {
                 }
             }
         }
-        if trace::enabled() {
-            trace::instant(Track::hypervisor(), "live_update.thaw", hv.device.now(), &[]);
-        }
+        trace::instant(Track::hypervisor(), "live_update.thaw", hv.device.now(), &[]);
         Ok(hv)
     }
 
@@ -2348,13 +2283,11 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         self.hv.stats.hypercalls += 1;
         self.hv.stats.pinned_pages += 1;
         let c = ns_to_cycles(host_costs::HYPERCALL_NS);
-        metrics::set_device(self.hv.device_id.0);
+        obs::set_device(self.hv.device_id.0);
         metrics::inc(metrics::HV_HYPERCALLS, self.va.0, 1);
-        if trace::enabled() {
-            let t = Track::vaccel(self.va.0);
-            trace::complete(t, "hypercall", self.hv.device.now(), c, &[("gva", gva.raw())]);
-            trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
-        }
+        let t = Track::vaccel(self.va.0);
+        trace::complete(t, "hypercall", self.hv.device.now(), c, &[("gva", gva.raw())]);
+        trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
         self.hv.advance(c);
     }
 
@@ -2363,13 +2296,11 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
     fn hypercall_cost(&mut self, key: u64) {
         self.hv.stats.hypercalls += 1;
         let c = ns_to_cycles(host_costs::HYPERCALL_NS);
-        metrics::set_device(self.hv.device_id.0);
+        obs::set_device(self.hv.device_id.0);
         metrics::inc(metrics::HV_HYPERCALLS, self.va.0, 1);
-        if trace::enabled() {
-            let t = Track::vaccel(self.va.0);
-            trace::complete(t, "hypercall", self.hv.device.now(), c, &[("key", key)]);
-            trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
-        }
+        let t = Track::vaccel(self.va.0);
+        trace::complete(t, "hypercall", self.hv.device.now(), c, &[("key", key)]);
+        trace::count(t, metrics::def(metrics::HV_HYPERCALLS).name, 1);
         self.hv.advance(c);
     }
 
@@ -2464,18 +2395,16 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .iommu_mut()
                 .map(iova, Hpa::new(hpa), PageSize::Huge, flags)
                 .expect("fresh IOVA slice");
-            if spec::enabled() {
-                spec::retrieve_page(
-                    self.hv.device_id.0,
-                    iova.raw(),
-                    hpa,
-                    PAGE_2M,
-                    writable,
-                    vm_id.0,
-                    Some(owner_vm),
-                    handle,
-                );
-            }
+            spec::retrieve_page(
+                self.hv.device_id.0,
+                iova.raw(),
+                hpa,
+                PAGE_2M,
+                writable,
+                vm_id.0,
+                Some(owner_vm),
+                handle,
+            );
         }
         self.hv.stats.pinned_pages += hpas.len() as u64;
         let rec = self.hv.shares.get_mut(&handle).expect("checked above");
@@ -2490,9 +2419,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 if let Some(producer) = self.hv.vm_job(owner_vm) {
                     let now = self.hv.device.now();
                     journal::link(consumer, producer, now);
-                    if trace::enabled() {
-                        trace::flow_end(Track::vaccel(self.va.0), "job", now, producer);
-                    }
+                    trace::flow_end(Track::vaccel(self.va.0), "job", now, producer);
                 }
             }
         }
@@ -2601,9 +2528,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .expect("guest write to unmapped memory");
             let in_page = (PAGE_2M - cur.page_offset(PAGE_2M)) as usize;
             let take = in_page.min(data.len() - off);
-            if spec::enabled() {
-                spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, true);
-            }
+            spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, true);
             self.hv
                 .device
                 .host_mut()
@@ -2624,9 +2549,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 .expect("guest read of unmapped memory");
             let in_page = (PAGE_2M - cur.page_offset(PAGE_2M)) as usize;
             let take = in_page.min(buf.len() - off);
-            if spec::enabled() {
-                spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, false);
-            }
+            spec::check_cpu(self.hv.device_id.0, hpa.raw(), take as u64, vm_id.0, false);
             let hv: &Optimus<D> = self.hv;
             hv.device.host().memory().read(hpa, &mut buf[off..off + take]);
             off += take;
@@ -2642,15 +2565,13 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
         self.hv.vaccel_mut(va).state_buffer = gva;
         if self.hv.is_scheduled(self.va) {
             let slot = self.v().slot;
-            if spec::enabled() {
-                let vm = self.v().vm.0;
-                spec::check_mmio_write(
-                    self.hv.device_id.0,
-                    slot,
-                    vm,
-                    accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
-                );
-            }
+            let vm = self.v().vm.0;
+            spec::check_mmio_write(
+                self.hv.device_id.0,
+                slot,
+                vm,
+                accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
+            );
             self.hv
                 .device
                 .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR, gva.raw());
@@ -2709,9 +2630,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                             // retrieved links its job to the producer's.
                             if let Some(p) = self.hv.peer_producer_job(vm.0) {
                                 journal::link(job, p, now);
-                                if trace::enabled() {
-                                    trace::flow_end(Track::vaccel(va.0), "job", now, p);
-                                }
+                                trace::flow_end(Track::vaccel(va.0), "job", now, p);
                             }
                         }
                     }
@@ -2719,28 +2638,22 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                     self.hv.slots[slot].sched.set_runnable(va.0 as u64, true);
                     if self.hv.is_scheduled(va) {
                         self.hv.vaccel_mut(va).pending_start = false;
-                        if spec::enabled() {
-                            let vm = self.v().vm.0;
-                            spec::check_mmio_write(
-                                self.hv.device_id.0,
-                                slot,
-                                vm,
-                                accel_mmio_base(slot) + accel_reg::CTRL_CMD,
-                            );
-                        }
+                        let vm = self.v().vm.0;
+                        spec::check_mmio_write(
+                            self.hv.device_id.0,
+                            slot,
+                            vm,
+                            accel_mmio_base(slot) + accel_reg::CTRL_CMD,
+                        );
                         let fwd = self.hv.device.now();
                         self.hv
                             .device
                             .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_CMD, accel_reg::CMD_START);
-                        if journal::enabled() {
-                            let job = self.hv.vaccel(va).job;
-                            if job != 0 {
-                                // The vaccel is already resident: the start
-                                // forwards straight to hardware, so the
-                                // install phase is just this posted write.
-                                journal::phase(job, journal::Phase::Installed, fwd);
-                            }
-                        }
+                        // The vaccel is already resident: the start forwards
+                        // straight to hardware, so the install phase is just
+                        // this posted write.
+                        let job = self.hv.vaccel(va).job;
+                        journal::phase(job, journal::Phase::Installed, fwd);
                         // The start is a posted fabric write. On a restart
                         // (resident, already-retired vaccel) the slot still
                         // latches the previous job's `Done`, so completion
@@ -2748,16 +2661,7 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                         // new job before it runs. Let it land, as
                         // `install` does for its register replay.
                         self.hv.advance(ns_to_cycles(500.0));
-                        if journal::enabled() {
-                            let job = self.hv.vaccel(va).job;
-                            if job != 0 {
-                                journal::phase(
-                                    job,
-                                    journal::Phase::Executing,
-                                    self.hv.device.now(),
-                                );
-                            }
-                        }
+                        journal::phase(job, journal::Phase::Executing, self.hv.device.now());
                     }
                 }
                 // CMD_PREEMPT / CMD_RESUME are privileged: guests cannot
@@ -2769,15 +2673,13 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 self.hv.vaccel_mut(va).state_buffer = Gva::new(value);
                 if self.hv.is_scheduled(self.va) {
                     let slot = self.v().slot;
-                    if spec::enabled() {
-                        let vm = self.v().vm.0;
-                        spec::check_mmio_write(
-                            self.hv.device_id.0,
-                            slot,
-                            vm,
-                            accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
-                        );
-                    }
+                    let vm = self.v().vm.0;
+                    spec::check_mmio_write(
+                        self.hv.device_id.0,
+                        slot,
+                        vm,
+                        accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR,
+                    );
                     self.hv
                         .device
                         .mmio_write(accel_mmio_base(slot) + accel_reg::CTRL_STATE_ADDR, value);
@@ -2789,10 +2691,8 @@ impl<D: PlatformDevice> GuestCtx<'_, D> {
                 self.hv.vaccel_mut(va).cache_app_reg(rel, value);
                 if self.hv.is_scheduled(self.va) {
                     let slot = self.v().slot;
-                    if spec::enabled() {
-                        let vm = self.v().vm.0;
-                        spec::check_mmio_write(self.hv.device_id.0, slot, vm, accel_mmio_base(slot) + off);
-                    }
+                    let vm = self.v().vm.0;
+                    spec::check_mmio_write(self.hv.device_id.0, slot, vm, accel_mmio_base(slot) + off);
                     self.hv.device.mmio_write(accel_mmio_base(slot) + off, value);
                 }
             }

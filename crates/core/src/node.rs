@@ -33,9 +33,10 @@
 //! serially in index order or concurrently on worker threads — produces
 //! the same per-device state. The two process-global side effects are
 //! made order-independent or explicitly ordered: `simrate` cycle
-//! accounting is a commutative atomic sum, and flight-recorder events
-//! are drained per worker and replayed into the main thread's recorder
-//! in device-index order (see `optimus_sim::trace::absorb_chunk`), so
+//! accounting is a commutative atomic sum, and each device's observation
+//! chunk (trace events, metrics, journal phases, spec model and
+//! violations) is drained on its worker and absorbed into the main
+//! thread's context in device-index order (see `optimus_sim::obs`), so
 //! even the exported trace JSON is byte-identical.
 //! `OPTIMUS_NODE_THREADS=1` forces the serial schedule and
 //! `OPTIMUS_LOCKSTEP=1` restores horizon-chunked stepping, mirroring
@@ -51,12 +52,9 @@ use crate::watchdog::{AlertKind, IsolationAlert};
 use optimus_accel::registry::AccelKind;
 use optimus_fabric::platform::{DeviceId, FabricError};
 use optimus_mem::addr::{Gva, Hpa, PAGE_2M};
-use optimus_sim::journal;
-use optimus_sim::metrics;
 use optimus_sim::rng::derive_seed;
-use optimus_sim::spec;
 use optimus_sim::time::{ms_to_cycles, Cycle};
-use optimus_sim::trace;
+use optimus_sim::{journal, metrics, obs, spec};
 
 /// How the node assigns new tenants to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,12 +215,12 @@ impl OptimusNode {
         }
         let threads = cfg
             .threads
-            .or_else(env_threads)
+            .or(obs::env().node_threads)
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map_or(1, |n| n.get())
             })
             .clamp(1, devices.len());
-        let lockstep = cfg.lockstep.unwrap_or_else(env_lockstep);
+        let lockstep = cfg.lockstep.unwrap_or(obs::env().lockstep);
         let alerts_seen = vec![0; devices.len()];
         let horizon_cache = vec![None; devices.len()];
         Ok(Self {
@@ -369,13 +367,9 @@ impl OptimusNode {
         // A consumer with a job already in flight links to the producer
         // across the device boundary (jobs submitted later link at their
         // own start, exactly as on the same-device path).
-        if journal::enabled() {
-            let consumer = self.devices[pd].vaccel_job(peer.va).unwrap_or(0);
-            if consumer != 0 {
-                if let Some(producer) = self.devices[od].vm_job(owner_vm) {
-                    journal::link(consumer, producer, self.devices[pd].now());
-                }
-            }
+        let consumer = self.devices[pd].vaccel_job(peer.va).unwrap_or(0);
+        if let Some(producer) = self.devices[od].vm_job(owner_vm) {
+            journal::link(consumer, producer, self.devices[pd].now());
         }
         Ok(gva)
     }
@@ -645,11 +639,9 @@ impl OptimusNode {
                 });
             }
         }
-        if job != 0 && journal::enabled() {
-            // Stamped on the destination clock: the journey's first phase
-            // on the new device (the accounting treats it like a requeue).
-            journal::phase(job, journal::Phase::Migrated, self.devices[to_idx].now());
-        }
+        // Stamped on the destination clock: the journey's first phase on
+        // the new device (the accounting treats it like a requeue).
+        journal::phase(job, journal::Phase::Migrated, self.devices[to_idx].now());
         metrics::inc_at(metrics::NODE_MIGRATIONS, to.0, 0, 1);
         Ok(NodeVaccel { device: to, va })
     }
@@ -865,85 +857,38 @@ impl OptimusNode {
     }
 
     /// Steps every device by `span` on scoped worker threads. Devices
-    /// are split into contiguous index-order groups (one per worker), so
-    /// each worker's trace chunks — and therefore the device-index-order
-    /// replay below — preserve the serial recording order.
+    /// are split into contiguous index-order groups (one per worker). Each
+    /// worker copies the main thread's gates, takes in its devices' spec
+    /// models, and drains one observation chunk per device; the main
+    /// thread absorbs the chunks in device-index order, which reproduces
+    /// the serial recording exactly.
     fn run_span_parallel(&mut self, chunk: Cycle) {
-        let tracing = trace::enabled();
-        // Workers inherit the main thread's metrics gate explicitly:
-        // their own thread-locals would re-read the environment, which
-        // can disagree with a runtime set_enabled override.
-        let recording = metrics::enabled();
-        // The spec plane mirrors the trace/metrics chunk protocol: each
-        // worker imports its devices' models, checks accesses locally, and
-        // exports models + violations for the main thread to re-absorb in
-        // device-index order.
-        let speccing = spec::enabled();
-        // The journal follows the same chunk protocol: workers record
-        // into their own thread-local planes and the main thread merges
-        // in device-index order, so the merged record order equals the
-        // serial recording.
-        let journaling = journal::enabled();
+        let gates = obs::gates();
         let workers = self.threads.min(self.devices.len());
         let per = self.devices.len().div_ceil(workers);
-        let spec_groups: Vec<Vec<Option<spec::DeviceChunk>>> = if speccing {
-            self.devices
-                .chunks(per)
-                .map(|g| g.iter().map(|hv| spec::export_device(hv.device_id().0)).collect())
-                .collect()
-        } else {
-            self.devices.chunks(per).map(|_| Vec::new()).collect()
-        };
-        type WorkerOut = (
-            Vec<trace::TraceChunk>,
-            Vec<metrics::MetricsChunk>,
-            Vec<Option<spec::DeviceChunk>>,
-            (u64, Vec<spec::Violation>),
-            Vec<journal::JournalChunk>,
-        );
-        let chunks_out: Vec<WorkerOut> = std::thread::scope(|s| {
+        let mut inbound = self
+            .devices
+            .iter()
+            .map(|hv| obs::take_device(hv.device_id().0))
+            .collect::<Vec<_>>()
+            .into_iter();
+        let outbound: Vec<Vec<obs::Chunk>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .devices
                 .chunks_mut(per)
-                .zip(spec_groups)
-                .map(|(group, spec_group)| {
+                .map(|group| {
+                    let models: Vec<obs::Chunk> = inbound.by_ref().take(group.len()).collect();
                     s.spawn(move || {
-                        if tracing {
-                            trace::set_enabled(true);
-                        }
-                        metrics::set_enabled(recording);
-                        journal::set_enabled(journaling);
-                        if speccing {
-                            spec::set_enabled(true);
-                            for c in spec_group.into_iter().flatten() {
-                                spec::import_device(c);
-                            }
-                        }
-                        let mut traces = Vec::new();
-                        let mut planes = Vec::new();
-                        let mut journals = Vec::new();
-                        for hv in group.iter_mut() {
-                            hv.run(chunk);
-                            if tracing {
-                                traces.push(trace::take_chunk());
-                            }
-                            if recording {
-                                planes.push(metrics::take_chunk());
-                            }
-                            if journaling {
-                                journals.push(journal::take_chunk());
-                            }
-                        }
-                        let mut spec_chunks = Vec::new();
-                        let spec_violations = if speccing {
-                            for hv in group.iter() {
-                                spec_chunks.push(spec::export_device(hv.device_id().0));
-                            }
-                            spec::take_violations()
-                        } else {
-                            (0, Vec::new())
-                        };
-                        (traces, planes, spec_chunks, spec_violations, journals)
+                        obs::set_gates(gates);
+                        group
+                            .iter_mut()
+                            .zip(models)
+                            .map(|(hv, model)| {
+                                obs::absorb_chunk(model);
+                                hv.run(chunk);
+                                obs::take_chunk()
+                            })
+                            .collect()
                     })
                 })
                 .collect();
@@ -952,23 +897,8 @@ impl OptimusNode {
                 .map(|h| h.join().expect("node worker thread panicked"))
                 .collect()
         });
-        // Replay in device-index order. Metric merges are commutative
-        // (counter adds, bucket adds, min/max) and gauges are
-        // device-disjoint, so this equals the serial recording.
-        for (traces, planes, spec_chunks, spec_violations, journals) in chunks_out {
-            for c in traces {
-                trace::absorb_chunk(c);
-            }
-            for p in planes {
-                metrics::absorb_chunk(p);
-            }
-            for c in spec_chunks.into_iter().flatten() {
-                spec::import_device(c);
-            }
-            spec::absorb_violations(spec_violations);
-            for j in journals {
-                journal::absorb_chunk(j);
-            }
+        for c in outbound.into_iter().flatten() {
+            obs::absorb_chunk(c);
         }
     }
 
@@ -987,24 +917,6 @@ impl OptimusNode {
         }
         self.vaccel_completed(h)
     }
-}
-
-/// Parses `OPTIMUS_LOCKSTEP`: any non-empty value other than `0` restores
-/// lock-step horizon chunking (the differential baseline for
-/// free-running).
-fn env_lockstep() -> bool {
-    match std::env::var("OPTIMUS_LOCKSTEP") {
-        Ok(v) => !(v.is_empty() || v == "0"),
-        Err(_) => false,
-    }
-}
-
-/// Parses `OPTIMUS_NODE_THREADS` (values < 1 are ignored).
-fn env_threads() -> Option<usize> {
-    std::env::var("OPTIMUS_NODE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use optimus_accel::membench::MbKernel;
 use optimus_accel::registry::AccelKind;
 use optimus_fabric::mmio::accel_reg;
 use optimus_fabric::platform::DeviceId;
+use optimus_sim::{journal, metrics, obs, spec, trace};
 use optimus_testkit::gens;
 use optimus_testkit::runner::check;
 use optimus_testkit::{prop_assert, prop_assert_eq};
@@ -135,16 +136,63 @@ fn node_fingerprint(
     fp
 }
 
+/// What one node run exports through the observation planes: Chrome-trace
+/// JSON, Prometheus text, the journal records and the spec violations.
+type Exports = (String, String, Vec<journal::JobRecord>, Vec<spec::Violation>);
+
+/// [`node_fingerprint`] with every observation plane switched to
+/// `planes` at runtime on the calling thread, returning the fingerprint
+/// and the planes' exports.
+#[allow(clippy::too_many_arguments)]
+fn observed_fingerprint(
+    planes: bool,
+    threads: usize,
+    devices: usize,
+    tenants: usize,
+    placement: Placement,
+    kind_sel: u8,
+    work: u64,
+    seed: u64,
+) -> (Vec<u64>, Exports) {
+    trace::set_enabled(planes);
+    metrics::set_enabled(planes);
+    journal::set_enabled(planes);
+    spec::set_enabled(planes);
+    let reset = || {
+        trace::reset();
+        metrics::reset();
+        journal::reset();
+        spec::reset();
+    };
+    reset();
+    let fp = node_fingerprint(threads, devices, tenants, placement, kind_sel, work, seed);
+    let exports = (
+        trace::chrome_trace_json(),
+        metrics::prometheus_text(),
+        journal::export(),
+        spec::violations(),
+    );
+    reset();
+    obs::set_gates(obs::env().gates);
+    (fp, exports)
+}
+
 /// Differential equivalence of the node's parallel schedule: stepping
 /// independent devices on worker threads between synchronization horizons
 /// yields bit-identical clocks, statistics, port counters, and
 /// guest-visible results to the serial schedule, for random placements
 /// and workloads on each of LinkedList, MemBench, and MD5. Threads are
-/// pinned (4 vs 1) so the property holds even on single-core hosts.
+/// pinned (4 vs 1) so the property holds even on single-core hosts. With
+/// all four observation planes on, threads 1, 2 and 4 must also export
+/// byte-identical traces, Prometheus text, journals and spec violations.
+/// Either way the planes are switched at runtime, against the environment
+/// defaults (trace and spec off, metrics and journal on), before the node
+/// spawns its workers: a worker that took its gates from the environment
+/// instead of the main thread would add or drop its devices' records.
 #[test]
 fn parallel_node_matches_serial_node() {
     let gen = gens::zip4(
-        gens::zip2(gens::usize_in(1..5), gens::usize_in(1..7)),
+        gens::zip3(gens::usize_in(1..5), gens::usize_in(1..7), gens::choose(vec![false, true])),
         gens::u8_in(0..3),
         gens::u64_in(0..1000),
         gens::u64_any(),
@@ -152,15 +200,23 @@ fn parallel_node_matches_serial_node() {
     check(
         "parallel_node_matches_serial_node",
         &gen,
-        |&((devices, tenants), kind_sel, work, seed)| {
+        |&((devices, tenants, planes), kind_sel, work, seed)| {
             let placement = if seed & 1 == 0 {
                 Placement::RoundRobin
             } else {
                 Placement::LeastLoaded
             };
-            let par = node_fingerprint(4, devices, tenants, placement, kind_sel, work, seed);
-            let ser = node_fingerprint(1, devices, tenants, placement, kind_sel, work, seed);
-            prop_assert_eq!(&par, &ser, "parallel and serial fingerprints diverge");
+            let threads: &[usize] = if planes { &[1, 2, 4] } else { &[1, 4] };
+            let run = |t| {
+                observed_fingerprint(planes, t, devices, tenants, placement, kind_sel, work, seed)
+            };
+            let (ser, ser_exports) = run(1);
+            prop_assert_eq!(ser_exports.2.is_empty(), !planes, "journal gate not honoured");
+            for &t in &threads[1..] {
+                let (par, par_exports) = run(t);
+                prop_assert_eq!(&par, &ser, "fingerprints diverge at {} threads", t);
+                prop_assert!(par_exports == ser_exports, "plane exports diverge at {} threads", t);
+            }
             Ok(())
         },
     );

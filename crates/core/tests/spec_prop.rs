@@ -510,6 +510,7 @@ enum ChanOp {
 fn replay_channel_history(hist: &[ChanOp]) -> runner::PropResult {
     spec::set_enabled(true);
     spec::reset();
+    optimus_sim::obs::set_device(0);
     const HANDLE: u64 = 0x51;
     spec::map_page(0, 0x10_0000, 0x20_0000, 0x20_0000, true, 1);
     spec::retrieve_page(0, 0x80_0000, 0x20_0000, 0x20_0000, false, 2, Some(1), HANDLE);
@@ -518,8 +519,8 @@ fn replay_channel_history(hist: &[ChanOp]) -> runner::PropResult {
     let mut live = true;
     for op in hist {
         match op {
-            ChanOp::Legit => spec::check_dma(0, 0, 0x10_0040, 0x20_0040, false),
-            ChanOp::Probe => spec::check_dma(0, 1, 0x80_0040, 0x20_0040, false),
+            ChanOp::Legit => spec::check_dma(0, 0x10_0040, 0x20_0040, false),
+            ChanOp::Probe => spec::check_dma(1, 0x80_0040, 0x20_0040, false),
             ChanOp::Relinquish if live => {
                 spec::relinquish_page(0, 0x80_0000, 0x20_0000, 2, HANDLE, "relinquished");
                 live = false;

@@ -142,8 +142,8 @@ impl FpgaDevice {
             pt_next_inject: 0,
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
-            fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            fastfwd: optimus_sim::obs::env().fast_forward,
+            batch: optimus_sim::obs::env().batch_step,
             trace_status,
         })
     }
@@ -171,8 +171,8 @@ impl FpgaDevice {
             pt_next_inject: 0,
             shell_regs: vec![0; mmio::SHELL_SIZE as usize].into_boxed_slice(),
             dropped_packets: 0,
-            fastfwd: optimus_sim::simrate::fast_forward_enabled(),
-            batch: optimus_sim::simrate::batch_step_cycles(),
+            fastfwd: optimus_sim::obs::env().fast_forward,
+            batch: optimus_sim::obs::env().batch_step,
             trace_status,
         }
     }
@@ -580,27 +580,21 @@ impl FpgaDevice {
                     None => DownPacket::MmioRead { addr },
                 }) {
                     AuditVerdict::DeliverMmio { offset, write: Some(v) } => {
-                        if spec::enabled() {
-                            spec::check_mmio_deliver(
-                                metrics::device_scope(),
-                                idx,
-                                addr,
-                                mmio::accel_mmio_base(idx),
-                                mmio::ACCEL_PAGE,
-                            );
-                        }
+                        spec::check_mmio_deliver(
+                            idx,
+                            addr,
+                            mmio::accel_mmio_base(idx),
+                            mmio::ACCEL_PAGE,
+                        );
                         self.accels[idx].mmio_write(offset, v);
                     }
                     AuditVerdict::DeliverMmio { offset, write: None } => {
-                        if spec::enabled() {
-                            spec::check_mmio_deliver(
-                                metrics::device_scope(),
-                                idx,
-                                addr,
-                                mmio::accel_mmio_base(idx),
-                                mmio::ACCEL_PAGE,
-                            );
-                        }
+                        spec::check_mmio_deliver(
+                            idx,
+                            addr,
+                            mmio::accel_mmio_base(idx),
+                            mmio::ACCEL_PAGE,
+                        );
                         let value = self.accels[idx].mmio_read(offset);
                         self.host.submit(UpPacket::MmioReadResp { addr, value }, now);
                     }

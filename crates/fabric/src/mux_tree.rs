@@ -215,7 +215,7 @@ impl MuxTree {
                     .iter()
                     .any(|q| q.peek_ready(now).is_some());
                 metrics::inc(metrics::FABRIC_MUX_STALLS, idx as u32, ready_input as u64);
-                if trace::enabled() && ready_input {
+                if ready_input {
                     let t = Track::mux_node(idx);
                     trace::instant(t, "mux_stall", now, &[]);
                     trace::count(t, "stalls", 1);
@@ -246,11 +246,9 @@ impl MuxTree {
                     idx as u32,
                     self.nodes[idx].inputs[i].len() as u64 + 1,
                 );
-                if trace::enabled() {
-                    let t = Track::mux_node(idx);
-                    trace::instant(t, "mux_grant", now, &[("input", i as u64)]);
-                    trace::count(t, "grants", 1);
-                }
+                let t = Track::mux_node(idx);
+                trace::instant(t, "mux_grant", now, &[("input", i as u64)]);
+                trace::count(t, "grants", 1);
                 self.nodes[idx].rr = if i + 1 == n_inputs { 0 } else { i + 1 };
                 self.nodes[idx].next_slot = now + MONITOR_INJECT_INTERVAL;
                 self.nodes[idx].occ -= 1;

@@ -348,15 +348,13 @@ impl Iommu {
                 metrics::MEM_IOTLB_HITS
             };
             metrics::inc(metric, tenant, 1);
-            if trace::enabled() {
-                let name = if lookup == TlbLookup::HitSpeculative {
-                    "iotlb_spec_hit"
-                } else {
-                    "iotlb_hit"
-                };
-                trace::instant(Track::iommu(), name, now, &[("iova", iova.raw())]);
-                trace::count(Track::iommu(), metrics::def(metric).name, 1);
-            }
+            let name = if lookup == TlbLookup::HitSpeculative {
+                "iotlb_spec_hit"
+            } else {
+                "iotlb_hit"
+            };
+            trace::instant(Track::iommu(), name, now, &[("iova", iova.raw())]);
+            trace::count(Track::iommu(), metrics::def(metric).name, 1);
             if is_write && !writable {
                 return Err(IommuError::WriteDenied { iova });
             }
@@ -379,28 +377,26 @@ impl Iommu {
                 let evicted = self.tlb.conflict_evictions > evictions_before;
                 metrics::inc(metrics::MEM_IOTLB_MISSES, tenant, 1);
                 metrics::inc(metrics::MEM_IOTLB_CONFLICT_EVICTIONS, tenant, evicted as u64);
-                if trace::enabled() {
-                    let set = IoTlb::set_index(iova, size) as u64;
+                let set = IoTlb::set_index(iova, size) as u64;
+                trace::instant(
+                    Track::iommu(),
+                    "iotlb_miss",
+                    now,
+                    &[("iova", iova.raw()), ("set", set), ("walk_steps", walk_steps as u64)],
+                );
+                trace::count(Track::iommu(), metrics::def(metrics::MEM_IOTLB_MISSES).name, 1);
+                if evicted {
                     trace::instant(
                         Track::iommu(),
-                        "iotlb_miss",
+                        "iotlb_conflict_evict",
                         now,
-                        &[("iova", iova.raw()), ("set", set), ("walk_steps", walk_steps as u64)],
+                        &[("iova", iova.raw()), ("set", set)],
                     );
-                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IOTLB_MISSES).name, 1);
-                    if evicted {
-                        trace::instant(
-                            Track::iommu(),
-                            "iotlb_conflict_evict",
-                            now,
-                            &[("iova", iova.raw()), ("set", set)],
-                        );
-                        trace::count(
-                            Track::iommu(),
-                            metrics::def(metrics::MEM_IOTLB_CONFLICT_EVICTIONS).name,
-                            1,
-                        );
-                    }
+                    trace::count(
+                        Track::iommu(),
+                        metrics::def(metrics::MEM_IOTLB_CONFLICT_EVICTIONS).name,
+                        1,
+                    );
                 }
                 Ok(Translation {
                     hpa: Hpa::new(pa),
@@ -410,10 +406,8 @@ impl Iommu {
             None => {
                 self.faults += 1;
                 metrics::inc(metrics::MEM_IO_PAGE_FAULTS, tenant, 1);
-                if trace::enabled() {
-                    trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
-                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IO_PAGE_FAULTS).name, 1);
-                }
+                trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
+                trace::count(Track::iommu(), metrics::def(metrics::MEM_IO_PAGE_FAULTS).name, 1);
                 Err(IommuError::Fault { iova })
             }
         }

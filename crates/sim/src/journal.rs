@@ -12,20 +12,19 @@
 //! # Gating
 //!
 //! The journal is **on by default** and disabled with `OPTIMUS_JOURNAL=0`
-//! (or `off`/`false`), sampled once per thread; tests override per thread
-//! with [`set_enabled`]. Every emit helper returns after one thread-local
-//! flag read when disabled. Recording is read-only with respect to the
-//! simulation: a journaled run and an unjournaled run of the same
-//! workload produce bit-equal fingerprints (ci.sh stage 11).
+//! (see [`crate::obs`]). Every emit helper returns after one thread-local
+//! read when disabled, and ignores job id 0 ("no job"). Recording is
+//! read-only with respect to the simulation: a journaled run and an
+//! unjournaled run of the same workload produce bit-equal fingerprints.
 //!
 //! # Threading
 //!
-//! Like the flight recorder, the journal is thread-local. Worker threads
-//! stepping devices drain their records into [`JournalChunk`]s which the
-//! node layer absorbs on the main thread **in device-index order**, so a
-//! parallel run's journal is byte-identical to a serial run's: a job
-//! lives on exactly one device at a time, so its phase list is appended
-//! in timestamp order regardless of the thread schedule.
+//! Records live in the thread's observation context. Node workers drain
+//! them with the rest of the context and the main thread absorbs the
+//! chunks **in device-index order**, so a parallel run's journal is
+//! byte-identical to a serial run's: a job lives on exactly one device at
+//! a time, so its phase list is appended in timestamp order regardless of
+//! the thread schedule.
 //!
 //! # Derivation
 //!
@@ -41,9 +40,9 @@
 //! mid-run live-update leaves every derived figure untouched (ci.sh
 //! stage 7 depends on this).
 
-use crate::metrics;
 use crate::time::Cycle;
-use std::cell::{Cell, RefCell};
+use crate::{metrics, obs};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Stable job identity: `((device_id + 1) << 32) | per-device counter`,
@@ -242,144 +241,34 @@ pub struct TenantSlo {
     pub share_stall: Dist,
 }
 
+/// One thread's journal records.
 #[derive(Debug, Default)]
-struct Plane {
+pub(crate) struct Journal {
     recs: BTreeMap<JobId, JobRecord>,
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_JOURNAL") {
-        Ok(v) => !(v == "0" || v == "off" || v == "false"),
-        Err(_) => true,
-    }
-}
-
-thread_local! {
-    static ENABLED: Cell<bool> = Cell::new(env_enabled());
-    static PLANE: RefCell<Plane> = RefCell::new(Plane::default());
-}
-
-/// Returns `true` if the journal is recording on this thread.
-///
-/// A single thread-local read; emission sites branch on this and fall
-/// through untouched when journaling is off.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.with(|c| c.get())
-}
-
-/// Overrides the `OPTIMUS_JOURNAL` gate for the current thread (tests
-/// and the journal-on/off differential property).
-pub fn set_enabled(on: bool) {
-    ENABLED.with(|c| c.set(on));
-}
-
-/// Discards every record on this thread.
-pub fn reset() {
-    PLANE.with(|p| p.borrow_mut().recs.clear());
-}
-
-/// Number of jobs journaled on this thread.
-pub fn job_count() -> usize {
-    PLANE.with(|p| p.borrow().recs.len())
-}
-
-/// Records a job submission: creates (or re-opens) the record and stamps
-/// [`Phase::Submit`] followed by [`Phase::Queued`].
-#[inline]
-pub fn submit(job: JobId, tenant: &str, vaccel: u32, device: u32, payload_bytes: u64, ts: Cycle) {
-    if !enabled() {
-        return;
-    }
-    PLANE.with(|p| {
-        let mut p = p.borrow_mut();
-        let rec = p.recs.entry(job).or_insert_with(|| JobRecord {
+impl Journal {
+    /// The record of `job`, created as a stub if this thread has never
+    /// seen it (worker threads stub jobs submitted on the main thread, and
+    /// the merge fills the metadata).
+    fn rec(&mut self, job: JobId) -> &mut JobRecord {
+        self.recs.entry(job).or_insert_with(|| JobRecord {
             job,
             ..JobRecord::default()
-        });
-        rec.tenant = tenant.to_string();
-        rec.vaccel = vaccel;
-        rec.device = device;
-        rec.payload_bytes = payload_bytes;
-        rec.phases.push((Phase::Submit, ts));
-        rec.phases.push((Phase::Queued, ts));
-    });
-}
-
-/// Appends one phase transition to a job's record (creating a stub
-/// record if this thread has never seen the job — worker threads stub
-/// jobs submitted on the main thread, and the merge fills the metadata).
-#[inline]
-pub fn phase(job: JobId, phase: Phase, ts: Cycle) {
-    if !enabled() {
-        return;
-    }
-    PLANE.with(|p| {
-        let mut p = p.borrow_mut();
-        let rec = p.recs.entry(job).or_insert_with(|| JobRecord {
-            job,
-            ..JobRecord::default()
-        });
-        rec.phases.push((phase, ts));
-    });
-}
-
-/// Links a consumer job to the producer job whose shared span it reads.
-#[inline]
-pub fn link(consumer: JobId, producer: JobId, ts: Cycle) {
-    if !enabled() {
-        return;
-    }
-    PLANE.with(|p| {
-        let mut p = p.borrow_mut();
-        let rec = p.recs.entry(consumer).or_insert_with(|| JobRecord {
-            job: consumer,
-            ..JobRecord::default()
-        });
-        rec.peer = Some(producer);
-        rec.phases.push((Phase::Linked, ts));
-    });
-}
-
-/// Records drained from one thread's journal for replay on another.
-/// Contents are opaque; a chunk only moves between planes.
-#[derive(Debug, Default)]
-pub struct JournalChunk {
-    recs: Vec<JobRecord>,
-}
-
-impl JournalChunk {
-    /// Number of job records carried.
-    pub fn len(&self) -> usize {
-        self.recs.len()
+        })
     }
 
-    /// Whether the chunk carries no records.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
-    }
-}
-
-/// Drains this thread's journal into a [`JournalChunk`].
-pub fn take_chunk() -> JournalChunk {
-    PLANE.with(|p| JournalChunk {
-        recs: std::mem::take(&mut p.borrow_mut().recs).into_values().collect(),
-    })
-}
-
-/// Merges a chunk into this thread's journal: unknown jobs are inserted
-/// whole; known jobs append the chunk's phases (a job runs on exactly
-/// one device, so device-index-order absorption appends in timestamp
-/// order) and fill any metadata the stub lacked.
-pub fn absorb_chunk(chunk: JournalChunk) {
-    PLANE.with(|p| {
-        let mut p = p.borrow_mut();
-        for rec in chunk.recs {
-            match p.recs.entry(rec.job) {
-                std::collections::btree_map::Entry::Vacant(e) => {
+    /// Merges another thread's records: unknown jobs are inserted whole;
+    /// known jobs append the other's phases (a job runs on exactly one
+    /// device, so device-index-order absorption appends in timestamp
+    /// order) and fill any metadata the stub lacked.
+    pub(crate) fn absorb(&mut self, other: Journal) {
+        for (job, rec) in other.recs {
+            match self.recs.entry(job) {
+                Entry::Vacant(e) => {
                     e.insert(rec);
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
+                Entry::Occupied(mut e) => {
                     let dst = e.get_mut();
                     if dst.tenant.is_empty() && !rec.tenant.is_empty() {
                         dst.tenant = rec.tenant;
@@ -396,12 +285,77 @@ pub fn absorb_chunk(chunk: JournalChunk) {
                 }
             }
         }
+    }
+}
+
+/// Runs `f` on this thread's journal if it records and `job` names a job.
+#[inline]
+fn record(job: JobId, f: impl FnOnce(&mut Journal)) {
+    if job != 0 && enabled() {
+        with_journal(f);
+    }
+}
+
+fn with_journal<R>(f: impl FnOnce(&mut Journal) -> R) -> R {
+    obs::with(|c| f(&mut c.journal.borrow_mut()))
+}
+
+/// Returns `true` if the journal is recording on this thread.
+#[inline]
+pub fn enabled() -> bool {
+    obs::gates().journal
+}
+
+/// Overrides the `OPTIMUS_JOURNAL` gate for the current thread (tests
+/// and the journal-on/off differential property).
+pub fn set_enabled(on: bool) {
+    obs::update_gates(|g| g.journal = on);
+}
+
+/// Discards every record on this thread.
+pub fn reset() {
+    with_journal(|j| j.recs.clear());
+}
+
+/// Number of jobs journaled on this thread.
+pub fn job_count() -> usize {
+    with_journal(|j| j.recs.len())
+}
+
+/// Records a job submission: creates (or re-opens) the record and stamps
+/// [`Phase::Submit`] followed by [`Phase::Queued`].
+#[inline]
+pub fn submit(job: JobId, tenant: &str, vaccel: u32, device: u32, payload_bytes: u64, ts: Cycle) {
+    record(job, |j| {
+        let rec = j.rec(job);
+        rec.tenant = tenant.to_string();
+        rec.vaccel = vaccel;
+        rec.device = device;
+        rec.payload_bytes = payload_bytes;
+        rec.phases.push((Phase::Submit, ts));
+        rec.phases.push((Phase::Queued, ts));
+    });
+}
+
+/// Appends one phase transition to a job's record.
+#[inline]
+pub fn phase(job: JobId, phase: Phase, ts: Cycle) {
+    record(job, |j| j.rec(job).phases.push((phase, ts)));
+}
+
+/// Links a consumer job to the producer job whose shared span it reads.
+#[inline]
+pub fn link(consumer: JobId, producer: JobId, ts: Cycle) {
+    record(consumer, |j| {
+        let rec = j.rec(consumer);
+        rec.peer = Some(producer);
+        rec.phases.push((Phase::Linked, ts));
     });
 }
 
 /// Clones every record in ascending [`JobId`] order (tests, exports).
 pub fn export() -> Vec<JobRecord> {
-    PLANE.with(|p| p.borrow().recs.values().cloned().collect())
+    with_journal(|j| j.recs.values().cloned().collect())
 }
 
 /// Splits one record's phase list into submit→{complete,evicted,now}
@@ -562,8 +516,7 @@ fn all_episodes(recs: &BTreeMap<JobId, JobRecord>) -> BTreeMap<JobId, Vec<Episod
 /// labelled by vaccel, plus completed-job and payload counters. Called
 /// once per report; idempotent per episode, so counters stay monotone.
 pub fn publish_metrics() {
-    PLANE.with(|p| {
-        let mut p = p.borrow_mut();
+    with_journal(|p| {
         let eps_by_job = all_episodes(&p.recs);
         for (job, eps) in eps_by_job {
             let rec = p.recs.get_mut(&job).expect("derived from this map");
@@ -598,8 +551,7 @@ pub fn publish_metrics() {
 
 /// Derives the per-tenant SLO summaries, sorted by tenant name.
 pub fn tenant_summaries() -> Vec<TenantSlo> {
-    PLANE.with(|p| {
-        let p = p.borrow();
+    with_journal(|p| {
         let eps_by_job = all_episodes(&p.recs);
         #[derive(Default)]
         struct Acc {
@@ -783,11 +735,11 @@ mod tests {
             set_enabled(true);
             phase(5, Phase::Installed, 150);
             phase(5, Phase::Executing, 160);
-            take_chunk()
+            obs::take_chunk()
         })
         .join()
         .expect("worker");
-        absorb_chunk(chunk);
+        obs::absorb_chunk(chunk);
         phase(5, Phase::Complete, 400);
         let recs = export();
         assert_eq!(recs.len(), 1);

@@ -17,8 +17,10 @@
 //! * [`clock`] — the [`clock::PlatformClock`] protocol every steppable
 //!   platform implements (`now`/`next_event`/`step_cycle`/`skip_to`),
 //!   with the event-horizon fast-forward kernel as a provided method.
-//! * [`simrate`] — process-wide simulated-cycle accounting and the
-//!   `OPTIMUS_NO_FASTFWD` fast-forward toggle.
+//! * [`simrate`] — process-wide simulated-cycle accounting.
+//! * [`obs`] — the observation context: one per-thread home for the four
+//!   planes below (gates, device scope, chunk drain/merge for node
+//!   workers) and the once-per-process parse of every `OPTIMUS_*` knob.
 //! * [`trace`] — the flight recorder: cycle-stamped events from every
 //!   layer into a bounded ring buffer, exported as Chrome `trace_event`
 //!   JSON for Perfetto, gated behind `OPTIMUS_TRACE`.
@@ -53,6 +55,7 @@ pub mod clock;
 pub mod hashing;
 pub mod journal;
 pub mod metrics;
+pub mod obs;
 pub mod perm;
 pub mod queue;
 pub mod rng;

@@ -13,19 +13,17 @@
 //!
 //! Recording never feeds back into simulation: the plane is write-only
 //! from the simulated layers and only read by reports, tests, and
-//! exposition. `OPTIMUS_METRICS=off` (or `0`) disables accumulation, but
-//! through a *branch-free masked path*: the accumulate executes
-//! unconditionally with a per-thread mask of `!0` (on) or `0` (off), so
-//! the instruction stream — and therefore the simulation — is identical
-//! either way. A differential property test in `crates/core/tests/prop.rs`
-//! proves simulation fingerprints are byte-identical with metrics on vs
-//! off.
+//! exposition. `OPTIMUS_METRICS=off` disables accumulation, but through a
+//! *branch-free masked path*: the accumulate executes unconditionally with
+//! a mask of `!0` (on) or `0` (off) derived from the thread's gate, so the
+//! instruction stream — and therefore the simulation — is identical either
+//! way. A differential property test in `crates/core/tests/prop.rs` proves
+//! simulation fingerprints are byte-identical with metrics on vs off.
 //!
-//! Storage is thread-local, like the flight recorder, so parallel device
-//! stepping needs no locks: node workers drain per-device
-//! [`MetricsChunk`]s which the main thread absorbs. Every merge operation
-//! (counter add, bucket add, min/max) is commutative and associative, so
-//! parallel stepping yields bit-identical totals to serial stepping.
+//! Storage lives in the thread's observation context ([`crate::obs`]);
+//! every merge of a worker's chunk (counter add, bucket add, min/max) is
+//! commutative and associative, so parallel stepping yields bit-identical
+//! totals to serial stepping.
 //!
 //! # Exposition
 //!
@@ -34,7 +32,7 @@
 //! the standard text format (`# HELP`/`# TYPE`, cumulative `_bucket{le=…}`
 //! histograms) written next to the bench reports as `PROM_<name>.prom`.
 
-use std::cell::{Cell, RefCell};
+use crate::obs;
 
 /// Index of a metric in [`REGISTRY`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -203,16 +201,16 @@ impl Hist {
     };
 }
 
-#[derive(Debug, Default)]
-struct Plane {
+#[derive(Debug)]
+pub(crate) struct Plane {
     /// Counters and gauges (gauges store `f64` bits), one dense series
     /// vector per registry entry, grown on demand.
     scalars: Vec<Vec<u64>>,
     hists: Vec<Vec<Hist>>,
 }
 
-impl Plane {
-    fn new() -> Self {
+impl Default for Plane {
+    fn default() -> Self {
         Self {
             scalars: vec![Vec::new(); REGISTRY.len()],
             hists: vec![Vec::new(); REGISTRY.len()],
@@ -220,61 +218,30 @@ impl Plane {
     }
 }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_METRICS") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
-}
-
-/// All per-thread metrics state behind a *single* `thread_local`, so the
-/// record path pays exactly one TLS address computation. (Split across
-/// three keys — mask, device scope, plane — each `inc` cost three TLS
-/// accesses, which profiles showed as a measurable slice of the hot
-/// packet path.)
-struct Tls {
-    /// `!0` = recording, `0` = masked off. Sampled from `OPTIMUS_METRICS`
-    /// once per thread; node workers re-apply the main thread's state.
-    mask: Cell<u64>,
-    /// Device dimension for [`inc`]/[`observe`]; the hypervisor scopes it
-    /// before stepping its device so deep layers need no plumbing.
-    device: Cell<u32>,
-    plane: RefCell<Plane>,
-}
-
-thread_local! {
-    static TLS: Tls = Tls {
-        mask: Cell::new(if env_enabled() { !0u64 } else { 0 }),
-        device: Cell::new(0),
-        plane: RefCell::new(Plane::new()),
-    };
-}
-
 /// Whether this thread is recording metrics.
 pub fn enabled() -> bool {
-    TLS.with(|t| t.mask.get()) != 0
+    obs::gates().metrics
 }
 
-/// Overrides the `OPTIMUS_METRICS` gate for this thread (tests, node
-/// workers propagating the main thread's state).
+/// Overrides the `OPTIMUS_METRICS` gate for this thread.
 pub fn set_enabled(on: bool) {
-    TLS.with(|t| t.mask.set(if on { !0 } else { 0 }));
+    obs::update_gates(|g| g.metrics = on);
 }
 
-/// Scopes subsequent [`inc`]/[`observe`] calls to device `d`.
-pub fn set_device(d: u32) {
-    TLS.with(|t| t.device.set(d));
+/// `!0` when the context records metrics, `0` when masked off.
+#[inline]
+fn mask(c: &obs::Ctx) -> u64 {
+    (c.gates.get().metrics as u64).wrapping_neg()
 }
 
-/// The current device scope.
-pub fn device_scope() -> u32 {
-    TLS.with(|t| t.device.get())
+fn with_plane<R>(f: impl FnOnce(&Plane) -> R) -> R {
+    obs::with(|c| f(&c.metrics.borrow()))
 }
 
 #[inline]
-fn scalar_add(t: &Tls, m: Metric, idx: usize, delta: u64) {
-    let mask = t.mask.get();
-    let mut p = t.plane.borrow_mut();
+fn scalar_add(c: &obs::Ctx, m: Metric, idx: usize, delta: u64) {
+    let mask = mask(c);
+    let mut p = c.metrics.borrow_mut();
     let v = &mut p.scalars[m.0 as usize];
     if v.len() <= idx {
         v.resize(idx + 1, 0);
@@ -283,10 +250,10 @@ fn scalar_add(t: &Tls, m: Metric, idx: usize, delta: u64) {
 }
 
 #[inline]
-fn hist_add(t: &Tls, m: Metric, idx: usize, value: u64) {
-    let mask = t.mask.get();
+fn hist_add(c: &obs::Ctx, m: Metric, idx: usize, value: u64) {
+    let mask = mask(c);
     let b = bucket_index(value);
-    let mut p = t.plane.borrow_mut();
+    let mut p = c.metrics.borrow_mut();
     let h = &mut p.hists[m.0 as usize];
     if h.len() <= idx {
         h.resize(idx + 1, Hist::EMPTY);
@@ -304,36 +271,36 @@ fn hist_add(t: &Tls, m: Metric, idx: usize, value: u64) {
 /// enable gate: the add always executes, masked to zero when disabled.
 #[inline]
 pub fn inc(m: Metric, label: u32, delta: u64) {
-    TLS.with(|t| scalar_add(t, m, packed(t.device.get(), label), delta));
+    obs::with(|c| scalar_add(c, m, packed(c.device.get(), label), delta));
 }
 
 /// [`inc`] with an explicit device (node-layer aggregation).
 #[inline]
 pub fn inc_at(m: Metric, device: u32, label: u32, delta: u64) {
-    TLS.with(|t| scalar_add(t, m, packed(device, label), delta));
+    obs::with(|c| scalar_add(c, m, packed(device, label), delta));
 }
 
 /// Records `value` into histogram `m` for the scoped device (branch-free
 /// masked path, like [`inc`]).
 #[inline]
 pub fn observe(m: Metric, label: u32, value: u64) {
-    TLS.with(|t| hist_add(t, m, packed(t.device.get(), label), value));
+    obs::with(|c| hist_add(c, m, packed(c.device.get(), label), value));
 }
 
 /// [`observe`] with an explicit device.
 #[inline]
 pub fn observe_at(m: Metric, device: u32, label: u32, value: u64) {
-    TLS.with(|t| hist_add(t, m, packed(device, label), value));
+    obs::with(|c| hist_add(c, m, packed(device, label), value));
 }
 
 /// Sets gauge `m` for the scoped device (masked: a disabled thread leaves
 /// the stored value untouched).
 pub fn set_gauge(m: Metric, label: u32, value: f64) {
-    TLS.with(|t| {
-        let mask = t.mask.get();
-        let idx = packed(t.device.get(), label);
+    obs::with(|c| {
+        let mask = mask(c);
+        let idx = packed(c.device.get(), label);
         let bits = value.to_bits();
-        let mut p = t.plane.borrow_mut();
+        let mut p = c.metrics.borrow_mut();
         let v = &mut p.scalars[m.0 as usize];
         if v.len() <= idx {
             v.resize(idx + 1, 0);
@@ -347,8 +314,8 @@ pub fn set_gauge(m: Metric, label: u32, value: f64) {
 /// O(1) read of counter `m` at (device, label); 0 if never recorded.
 pub fn counter_value(m: Metric, device: u32, label: u32) -> u64 {
     let idx = packed(device, label);
-    TLS.with(|t| {
-        t.plane.borrow().scalars[m.0 as usize]
+    with_plane(|p| {
+        p.scalars[m.0 as usize]
             .get(idx)
             .copied()
             .unwrap_or(0)
@@ -357,8 +324,8 @@ pub fn counter_value(m: Metric, device: u32, label: u32) -> u64 {
 
 /// Sum of counter `m` over every device and label.
 pub fn counter_total(m: Metric) -> u64 {
-    TLS.with(|t| {
-        t.plane.borrow().scalars[m.0 as usize]
+    with_plane(|p| {
+        p.scalars[m.0 as usize]
             .iter()
             .fold(0u64, |a, v| a.wrapping_add(*v))
     })
@@ -372,8 +339,8 @@ pub fn gauge_value(m: Metric, device: u32, label: u32) -> f64 {
 /// Sample count of histogram `m` at (device, label).
 pub fn hist_count(m: Metric, device: u32, label: u32) -> u64 {
     let idx = packed(device, label);
-    TLS.with(|t| {
-        t.plane.borrow().hists[m.0 as usize]
+    with_plane(|p| {
+        p.hists[m.0 as usize]
             .get(idx)
             .map_or(0, |h| h.count)
     })
@@ -382,8 +349,8 @@ pub fn hist_count(m: Metric, device: u32, label: u32) -> u64 {
 /// Sum of all recorded values of histogram `m` at (device, label).
 pub fn hist_sum(m: Metric, device: u32, label: u32) -> u64 {
     let idx = packed(device, label);
-    TLS.with(|t| {
-        t.plane.borrow().hists[m.0 as usize]
+    with_plane(|p| {
+        p.hists[m.0 as usize]
             .get(idx)
             .map_or(0, |h| h.sum)
     })
@@ -391,8 +358,8 @@ pub fn hist_sum(m: Metric, device: u32, label: u32) -> u64 {
 
 /// Total sample count of histogram `m` across every series.
 pub fn hist_total_count(m: Metric) -> u64 {
-    TLS.with(|t| {
-        t.plane.borrow().hists[m.0 as usize]
+    with_plane(|p| {
+        p.hists[m.0 as usize]
             .iter()
             .fold(0u64, |a, h| a.wrapping_add(h.count))
     })
@@ -400,53 +367,21 @@ pub fn hist_total_count(m: Metric) -> u64 {
 
 /// Clears every series on this thread.
 pub fn reset() {
-    TLS.with(|t| *t.plane.borrow_mut() = Plane::new());
+    obs::with(|c| *c.metrics.borrow_mut() = Plane::default());
 }
 
-// ---- Parallel chunk drain -------------------------------------------------
-
-/// A worker thread's accumulated metrics, drained after stepping its
-/// devices so the main thread can merge them (mirrors
-/// [`crate::trace::TraceChunk`]). Every merge is commutative, so the
-/// absorb order cannot affect totals.
-#[derive(Debug)]
-pub struct MetricsChunk {
-    scalars: Vec<Vec<u64>>,
-    hists: Vec<Vec<Hist>>,
-}
-
-impl MetricsChunk {
-    /// Whether the chunk holds no data at all.
-    pub fn is_empty(&self) -> bool {
-        self.scalars.iter().all(|v| v.iter().all(|&x| x == 0))
-            && self.hists.iter().all(|v| v.iter().all(|h| h.count == 0))
-    }
-}
-
-/// Takes this thread's plane, leaving it empty.
-pub fn take_chunk() -> MetricsChunk {
-    TLS.with(|t| {
-        let plane = std::mem::replace(&mut *t.plane.borrow_mut(), Plane::new());
-        MetricsChunk {
-            scalars: plane.scalars,
-            hists: plane.hists,
-        }
-    })
-}
-
-/// Merges a drained chunk into this thread's plane. Counters and
-/// histogram cells add; gauges overwrite when the chunk wrote a value
-/// (series are device-disjoint across node workers, so this is
-/// order-independent too).
-pub fn absorb_chunk(chunk: MetricsChunk) {
-    TLS.with(|t| {
-        let mut p = t.plane.borrow_mut();
-        for (mi, src) in chunk.scalars.into_iter().enumerate() {
+impl Plane {
+    /// Merges another thread's plane into this one. Counters and histogram
+    /// cells add; gauges overwrite when the other plane wrote a value
+    /// (series are device-disjoint across node workers, so this is
+    /// order-independent too).
+    pub(crate) fn absorb(&mut self, other: Plane) {
+        for (mi, src) in other.scalars.into_iter().enumerate() {
             if src.is_empty() {
                 continue;
             }
             let gauge = REGISTRY[mi].kind == Gauge;
-            let dst = &mut p.scalars[mi];
+            let dst = &mut self.scalars[mi];
             if dst.len() < src.len() {
                 dst.resize(src.len(), 0);
             }
@@ -460,11 +395,11 @@ pub fn absorb_chunk(chunk: MetricsChunk) {
                 }
             }
         }
-        for (mi, src) in chunk.hists.into_iter().enumerate() {
+        for (mi, src) in other.hists.into_iter().enumerate() {
             if src.is_empty() {
                 continue;
             }
-            let dst = &mut p.hists[mi];
+            let dst = &mut self.hists[mi];
             if dst.len() < src.len() {
                 dst.resize(src.len(), Hist::EMPTY);
             }
@@ -479,7 +414,7 @@ pub fn absorb_chunk(chunk: MetricsChunk) {
                 d.max = d.max.max(h.max);
             }
         }
-    });
+    }
 }
 
 // ---- Exposition -----------------------------------------------------------
@@ -519,8 +454,7 @@ pub struct Series {
 /// (device, label) order — fully deterministic for diffable reports.
 pub fn snapshot() -> Vec<Series> {
     let mut out = Vec::new();
-    TLS.with(|t| {
-        let p = t.plane.borrow();
+    with_plane(|p| {
         for d in REGISTRY {
             let mi = d.id.0 as usize;
             match d.kind {
@@ -698,9 +632,9 @@ mod tests {
     #[test]
     fn device_scope_and_explicit_device_agree() {
         set_enabled(true);
-        set_device(3);
+        obs::set_device(3);
         inc(CCI_DMA_BYTES, 2, 64);
-        set_device(0);
+        obs::set_device(0);
         inc_at(CCI_DMA_BYTES, 3, 2, 64);
         assert_eq!(counter_value(CCI_DMA_BYTES, 3, 2), 128);
         assert_eq!(counter_total(CCI_DMA_BYTES), 128);
@@ -712,11 +646,10 @@ mod tests {
         inc(FABRIC_MUX_GRANTS, 1, 10);
         observe(CCI_DMA_RT_CYCLES, 1, 333);
         set_gauge(FABRIC_FAIRNESS_JAIN, 0, 0.75);
-        let chunk = take_chunk();
-        assert!(!chunk.is_empty());
+        let chunk = obs::take_chunk();
         assert_eq!(counter_value(FABRIC_MUX_GRANTS, 0, 1), 0, "plane drained");
         inc(FABRIC_MUX_GRANTS, 1, 5);
-        absorb_chunk(chunk);
+        obs::absorb_chunk(chunk);
         assert_eq!(counter_value(FABRIC_MUX_GRANTS, 0, 1), 15);
         assert_eq!(hist_count(CCI_DMA_RT_CYCLES, 0, 1), 1);
         assert_eq!(hist_sum(CCI_DMA_RT_CYCLES, 0, 1), 333);

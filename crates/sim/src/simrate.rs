@@ -1,4 +1,4 @@
-//! Global simulated-cycle accounting and the fast-forward toggle.
+//! Global simulated-cycle accounting.
 //!
 //! Every cycle kernel in the workspace (the fabric device, the host-centric
 //! platform) reports the fabric cycles it simulates to a process-wide
@@ -6,11 +6,10 @@
 //! compute a `sim_rate` (simulated fabric cycles per wall-second), making
 //! the simulator's own performance trajectory machine-readable across PRs.
 //!
-//! The module also owns the `OPTIMUS_NO_FASTFWD` escape hatch: setting it to
-//! anything other than `0`/empty disables event-horizon fast-forwarding and
-//! forces per-cycle stepping everywhere. Fast-forward is *bit-exact* by
-//! construction, so the toggle exists for differential testing and for
-//! debugging the fast-forward machinery itself, not for correctness.
+//! The kernels' fast-forward and batching defaults (`OPTIMUS_NO_FASTFWD`,
+//! `OPTIMUS_BATCH_STEP`) are read once per process by [`crate::obs::env`].
+//! Both are bit-exact either way; the knobs exist for differential testing
+//! and for profiling the stepping machinery itself.
 
 use crate::time::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,35 +29,10 @@ pub fn cycles() -> Cycle {
     SIM_CYCLES.load(Ordering::Relaxed)
 }
 
-/// Whether event-horizon fast-forwarding is enabled (the default).
-///
-/// `OPTIMUS_NO_FASTFWD=1` (or any non-empty value other than `0`) disables
-/// it. Kernels sample this at construction; tests can override per instance
-/// via their `set_fast_forward` methods.
-pub fn fast_forward_enabled() -> bool {
-    match std::env::var("OPTIMUS_NO_FASTFWD") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
-}
-
 /// Default burst length for batched stepping (cycles executed per
 /// dispatch when a machine is busy at the horizon; see
 /// `PlatformClock::advance_toward_batched`).
 pub const DEFAULT_BATCH_STEP: Cycle = 64;
-
-/// The batched-stepping burst length: `OPTIMUS_BATCH_STEP=<k>` overrides
-/// the default; `0` or `1` disables batching (one horizon scan per stepped
-/// cycle, the pre-batching behavior). Batching is bit-exact either way —
-/// the knob exists for differential testing and for profiling the horizon
-/// scan itself. Kernels sample this at construction; tests can override
-/// per instance via their `set_batch_step` methods.
-pub fn batch_step_cycles() -> Cycle {
-    match std::env::var("OPTIMUS_BATCH_STEP") {
-        Ok(v) if !v.trim().is_empty() => v.trim().parse::<Cycle>().unwrap_or(DEFAULT_BATCH_STEP).max(1),
-        _ => DEFAULT_BATCH_STEP,
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -38,18 +38,17 @@
 //! # Gating and determinism
 //!
 //! Like the flight recorder ([`crate::trace`]) the plane is off by default
-//! and enabled with `OPTIMUS_SPEC=1`. Every hook site is guarded by
-//! [`enabled`] (one thread-local read), the model is write-only from the
-//! simulated layers, and nothing here ever feeds back into simulation
-//! state or timing — a differential test proves fingerprints are
-//! byte-identical with the spec plane on vs off.
+//! and enabled with `OPTIMUS_SPEC=1` (see [`crate::obs`]). Every hook
+//! returns after one thread-local read when the gate is off, the model is
+//! write-only from the simulated layers, and nothing here ever feeds back
+//! into simulation state or timing — a differential test proves
+//! fingerprints are byte-identical with the spec plane on vs off.
 //!
-//! State is thread-local. Node workers stepping device subsets import the
-//! relevant [`DeviceChunk`]s before a parallel span and export them after,
-//! mirroring the trace/metrics chunk protocol; violations drain with
-//! [`take_violations`] and merge in device-index order.
+//! State lives in the thread's observation context. A node worker takes
+//! its device's model with [`crate::obs::take_device`] before a parallel
+//! span and hands it back, with its violations, in the chunk it drains.
 
-use std::cell::{Cell, RefCell};
+use crate::obs;
 use std::collections::BTreeMap;
 
 /// Retained violation cap; the total count keeps incrementing past it.
@@ -164,67 +163,62 @@ impl DeviceModel {
     }
 }
 
-/// A device's model state in transit between threads (node workers).
-#[derive(Debug)]
-pub struct DeviceChunk {
-    device: u32,
-    model: DeviceModel,
-}
-
+/// One thread's spec models and recorded violations.
 #[derive(Default)]
-struct SpecState {
+pub(crate) struct SpecState {
     devices: BTreeMap<u32, DeviceModel>,
     violations: Vec<Violation>,
     count: u64,
 }
 
-struct Tls {
-    enabled: Cell<bool>,
-    state: RefCell<SpecState>,
-}
+impl SpecState {
+    /// Moves device `d`'s model (if any) into a state of its own.
+    pub(crate) fn take_device(&mut self, d: u32) -> SpecState {
+        let mut out = SpecState::default();
+        if let Some(model) = self.devices.remove(&d) {
+            out.devices.insert(d, model);
+        }
+        out
+    }
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_SPEC") {
-        Ok(v) => v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true"),
-        Err(_) => false,
+    /// Merges another thread's models and violations into this one.
+    pub(crate) fn absorb(&mut self, other: SpecState) {
+        self.devices.extend(other.devices);
+        self.count += other.count;
+        let room = MAX_RETAINED.saturating_sub(self.violations.len());
+        self.violations.extend(other.violations.into_iter().take(room));
     }
 }
 
-thread_local! {
-    static TLS: Tls = Tls {
-        enabled: Cell::new(env_enabled()),
-        state: RefCell::new(SpecState::default()),
-    };
+fn with_spec<R>(f: impl FnOnce(&mut SpecState) -> R) -> R {
+    obs::with(|c| f(&mut c.spec.borrow_mut()))
 }
 
-/// Whether this thread is checking accesses against the model. Every hook
-/// site guards on this, so a disabled run pays one thread-local read per
-/// hook and builds no arguments.
+/// Whether this thread is checking accesses against the model.
 #[inline]
 pub fn enabled() -> bool {
-    TLS.with(|t| t.enabled.get())
+    obs::gates().spec
 }
 
-/// Overrides the `OPTIMUS_SPEC` gate for this thread (tests, node workers
-/// propagating the main thread's state).
+/// Overrides the `OPTIMUS_SPEC` gate for this thread.
 pub fn set_enabled(on: bool) {
-    TLS.with(|t| t.enabled.set(on));
+    obs::update_gates(|g| g.spec = on);
 }
 
 /// Clears the model and all recorded violations on this thread.
 pub fn reset() {
-    TLS.with(|t| *t.state.borrow_mut() = SpecState::default());
+    with_spec(|s| *s = SpecState::default());
 }
 
 /// Total violations recorded on this thread (including past the retention
 /// cap).
 pub fn violation_count() -> u64 {
-    TLS.with(|t| t.state.borrow().count)
+    with_spec(|s| s.count)
 }
 
 /// The retained violations, oldest first (capped at [`MAX_RETAINED`]).
 pub fn violations() -> Vec<Violation> {
-    TLS.with(|t| t.state.borrow().violations.clone())
+    with_spec(|s| s.violations.clone())
 }
 
 fn record(s: &mut SpecState, device: u32, kind: &'static str, detail: String) {
@@ -234,8 +228,12 @@ fn record(s: &mut SpecState, device: u32, kind: &'static str, detail: String) {
     }
 }
 
-fn with_state<R>(f: impl FnOnce(&mut SpecState) -> R) -> R {
-    TLS.with(|t| f(&mut t.state.borrow_mut()))
+/// Runs a model update or check if this thread's spec gate is open.
+#[inline]
+fn with_state(f: impl FnOnce(&mut SpecState)) {
+    if enabled() {
+        with_spec(f);
+    }
 }
 
 // ---- Model updates (history events) ---------------------------------------
@@ -406,13 +404,15 @@ pub fn unbind_slot(device: u32, slot: usize) {
 
 // ---- Access checks --------------------------------------------------------
 
-/// A DMA from `slot` translated to `hpa` and touched host memory: the
-/// model must map the IOVA to exactly that HPA, with sufficient
-/// permission, and the span's acting VM must be the VM bound to the slot.
-/// When the target HPA is a frame the model knows (e.g. a probe of a
-/// relinquished share span), the detail embeds its ownership history.
-pub fn check_dma(device: u32, slot: u32, iova: u64, hpa: u64, write: bool) {
+/// A DMA from `slot` of the scoped device ([`obs::device`]) translated to
+/// `hpa` and touched host memory: the model must map the IOVA to exactly
+/// that HPA, with sufficient permission, and the span's acting VM must be
+/// the VM bound to the slot. When the target HPA is a frame the model
+/// knows (e.g. a probe of a relinquished share span), the detail embeds
+/// its ownership history.
+pub fn check_dma(slot: u32, iova: u64, hpa: u64, write: bool) {
     with_state(|s| {
+        let device = obs::device();
         let verdict: Option<(&'static str, String)> = (|| {
             let Some(m) = s.devices.get(&device) else {
                 return Some(("dma_unmodeled_device", format!("iova {iova:#x} slot {slot}")));
@@ -459,11 +459,12 @@ pub fn check_dma(device: u32, slot: u32, iova: u64, hpa: u64, write: bool) {
     });
 }
 
-/// The IOMMU refused a DMA (translation fault). Refinement runs both ways:
-/// if the model *would* have permitted the access, the simulator dropped
-/// legal traffic.
-pub fn check_dma_fault(device: u32, slot: u32, iova: u64, write: bool) {
+/// The IOMMU of the scoped device refused a DMA (translation fault).
+/// Refinement runs both ways: if the model *would* have permitted the
+/// access, the simulator dropped legal traffic.
+pub fn check_dma_fault(slot: u32, iova: u64, write: bool) {
     with_state(|s| {
+        let device = obs::device();
         let Some(m) = s.devices.get(&device) else { return };
         if let Some((_, span)) = m.iopt_at(iova) {
             if (!write || span.write) && m.slot_owner(slot as usize) == Some(span.owner) {
@@ -478,11 +479,13 @@ pub fn check_dma_fault(device: u32, slot: u32, iova: u64, write: bool) {
     });
 }
 
-/// An MMIO access was delivered to accelerator `slot`; `base`/`size` is
-/// that slot's BAR page. Delivery outside the page is a containment
-/// violation regardless of how the auditor's arithmetic got there.
-pub fn check_mmio_deliver(device: u32, slot: usize, addr: u64, base: u64, size: u64) {
+/// An MMIO access was delivered to accelerator `slot` of the scoped
+/// device; `base`/`size` is that slot's BAR page. Delivery outside the
+/// page is a containment violation regardless of how the auditor's
+/// arithmetic got there.
+pub fn check_mmio_deliver(slot: usize, addr: u64, base: u64, size: u64) {
     with_state(|s| {
+        let device = obs::device();
         if addr.wrapping_sub(base) >= size {
             record(
                 s,
@@ -627,44 +630,6 @@ pub fn check_thaw(device: u32, iova: u64, hpa: u64) {
     });
 }
 
-// ---- Parallel chunk plumbing ---------------------------------------------
-
-/// Removes `device`'s model from this thread so a worker can own it for a
-/// parallel span. Returns `None` if the device has no model yet (the
-/// worker starts it fresh via `or_default`).
-pub fn export_device(device: u32) -> Option<DeviceChunk> {
-    with_state(|s| s.devices.remove(&device).map(|model| DeviceChunk { device, model }))
-}
-
-/// Installs a model exported by [`export_device`] into this thread.
-pub fn import_device(chunk: DeviceChunk) {
-    with_state(|s| {
-        s.devices.insert(chunk.device, chunk.model);
-    });
-}
-
-/// Drains this thread's violations (count, retained list) for the main
-/// thread to [`absorb_violations`] in device-index order.
-pub fn take_violations() -> (u64, Vec<Violation>) {
-    with_state(|s| {
-        let count = std::mem::take(&mut s.count);
-        let v = std::mem::take(&mut s.violations);
-        (count, v)
-    })
-}
-
-/// Merges a worker's drained violations into this thread's totals.
-pub fn absorb_violations((count, v): (u64, Vec<Violation>)) {
-    with_state(|s| {
-        s.count += count;
-        for violation in v {
-            if s.violations.len() < MAX_RETAINED {
-                s.violations.push(violation);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,11 +644,11 @@ mod tests {
         fresh();
         map_page(0, 0x10_0000, 0x20_0000, 0x1000, true, 7);
         bind_slot(0, 2, 7);
-        check_dma(0, 2, 0x10_0040, 0x20_0040, true);
+        check_dma(2, 0x10_0040, 0x20_0040, true);
         assert_eq!(violation_count(), 0);
         // Another tenant's slot reaching the same span is a violation.
         bind_slot(0, 3, 9);
-        check_dma(0, 3, 0x10_0040, 0x20_0040, false);
+        check_dma(3, 0x10_0040, 0x20_0040, false);
         assert_eq!(violation_count(), 1);
         assert_eq!(violations()[0].kind, "dma_cross_tenant");
     }
@@ -693,10 +658,10 @@ mod tests {
         fresh();
         map_page(0, 0x0, 0x1000, 0x1000, true, 1);
         bind_slot(0, 0, 1);
-        check_dma(0, 0, 0x40, 0x2040, false);
-        check_dma(0, 0, 0x9999_0000, 0x0, false);
+        check_dma(0, 0x40, 0x2040, false);
+        check_dma(0, 0x9999_0000, 0x0, false);
         unbind_slot(0, 0);
-        check_dma(0, 0, 0x40, 0x1040, false);
+        check_dma(0, 0x40, 0x1040, false);
         let kinds: Vec<_> = violations().iter().map(|v| v.kind).collect();
         assert_eq!(kinds, ["dma_wrong_hpa", "dma_unmapped", "dma_unbound_slot"]);
     }
@@ -707,11 +672,11 @@ mod tests {
         map_page(0, 0x0, 0x1000, 0x1000, true, 1);
         bind_slot(0, 0, 1);
         // Fault on an unmapped iova agrees with the model: no violation.
-        check_dma_fault(0, 0, 0xdead_0000, false);
+        check_dma_fault(0, 0xdead_0000, false);
         assert_eq!(violation_count(), 0);
         // Fault on a mapped, owned iova means the simulator dropped legal
         // traffic.
-        check_dma_fault(0, 0, 0x80, false);
+        check_dma_fault(0, 0x80, false);
         assert_eq!(violations()[0].kind, "dropped_legal_dma");
     }
 
@@ -760,12 +725,12 @@ mod tests {
     #[test]
     fn mmio_page_containment() {
         fresh();
-        check_mmio_deliver(0, 1, 0x12040, 0x12000, 0x1000);
+        check_mmio_deliver(1, 0x12040, 0x12000, 0x1000);
         assert_eq!(violation_count(), 0);
-        check_mmio_deliver(0, 1, 0x13000, 0x12000, 0x1000);
+        check_mmio_deliver(1, 0x13000, 0x12000, 0x1000);
         assert_eq!(violations()[0].kind, "mmio_out_of_page");
         // Wrap-around below the base must not be accepted.
-        check_mmio_deliver(0, 1, 0x11fff, 0x12000, 0x1000);
+        check_mmio_deliver(1, 0x11fff, 0x12000, 0x1000);
         assert_eq!(violation_count(), 2);
     }
 
@@ -774,21 +739,21 @@ mod tests {
         fresh();
         map_page(3, 0x0, 0x1000, 0x1000, true, 5);
         bind_slot(3, 0, 5);
-        let chunk = export_device(3).expect("model exists");
+        let chunk = obs::take_device(3);
         // Simulate the worker: fresh thread state, imported model.
         let handle = std::thread::spawn(move || {
             set_enabled(true);
-            import_device(chunk);
-            check_dma(3, 0, 0x40, 0x1040, false);
-            check_dma(3, 0, 0x40, 0xbad0, false); // one violation
-            (export_device(3).expect("still there"), take_violations())
+            obs::set_device(3);
+            obs::absorb_chunk(chunk);
+            check_dma(0, 0x40, 0x1040, false);
+            check_dma(0, 0x40, 0xbad0, false); // one violation
+            obs::take_chunk()
         });
-        let (chunk, violations_chunk) = handle.join().unwrap();
-        import_device(chunk);
-        absorb_violations(violations_chunk);
+        obs::absorb_chunk(handle.join().unwrap());
         assert_eq!(violation_count(), 1);
+        obs::set_device(3);
         // The re-imported model still checks.
-        check_dma(3, 0, 0x80, 0x1080, false);
+        check_dma(0, 0x80, 0x1080, false);
         assert_eq!(violation_count(), 1);
     }
 
@@ -796,7 +761,7 @@ mod tests {
     fn violation_retention_caps_but_count_does_not() {
         fresh();
         for i in 0..(MAX_RETAINED as u64 + 10) {
-            check_dma(0, 0, i * 64, 0, false);
+            check_dma(0, i * 64, 0, false);
         }
         assert_eq!(violations().len(), MAX_RETAINED);
         assert_eq!(violation_count(), MAX_RETAINED as u64 + 10);
@@ -814,7 +779,7 @@ mod tests {
         bind_slot(0, 0, 1);
         bind_slot(0, 1, 2);
         // Retriever reads through its own IOPT span: clean.
-        check_dma(0, 1, 0x80_0040, 0x20_0040, false);
+        check_dma(1, 0x80_0040, 0x20_0040, false);
         check_cpu(0, 0x20_0040, 0x40, 2, false);
         assert_eq!(violation_count(), 0);
         // Retriever *writing* the ro span via CPU is cross-tenant, and the
@@ -823,7 +788,7 @@ mod tests {
         assert_eq!(violations()[0].kind, "cpu_cross_tenant");
         assert!(violations()[0].detail.contains("live handle 0x5 -> vm 2 (ro)"));
         // Retriever ro DMA write is refused at the IOPT permission.
-        check_dma(0, 1, 0x80_0040, 0x20_0040, true);
+        check_dma(1, 0x80_0040, 0x20_0040, true);
         assert_eq!(violations()[1].kind, "dma_perm");
         // Owner keeps full access throughout.
         check_cpu(0, 0x20_0000, 0x1000, 1, true);
@@ -836,12 +801,12 @@ mod tests {
         map_page(0, 0x10_0000, 0x20_0000, 0x20_0000, true, 1);
         retrieve_page(0, 0x80_0000, 0x20_0000, 0x20_0000, true, 2, Some(1), 0x9);
         bind_slot(0, 1, 2);
-        check_dma(0, 1, 0x80_0040, 0x20_0040, true);
+        check_dma(1, 0x80_0040, 0x20_0040, true);
         assert_eq!(violation_count(), 0);
         relinquish_page(0, 0x80_0000, 0x20_0000, 2, 0x9, "relinquished");
         // A stale access to the now-relinquished span must fault like an
         // unmap — and the violation names the ended entitlement.
-        check_dma(0, 1, 0x80_0040, 0x20_0040, true);
+        check_dma(1, 0x80_0040, 0x20_0040, true);
         assert_eq!(violations()[0].kind, "dma_unmapped");
         assert!(violations()[0].detail.contains("owner=vm 1"));
         assert!(violations()[0].detail.contains("relinquished handle 0x9 -> vm 2 (rw)"));
@@ -851,7 +816,7 @@ mod tests {
         assert!(violations()[1].detail.contains("relinquished handle 0x9"));
         // A correctly-faulted probe agrees with the model: no
         // dropped_legal_dma for the torn-down iova.
-        check_dma_fault(0, 1, 0x80_0040, true);
+        check_dma_fault(1, 0x80_0040, true);
         assert_eq!(violation_count(), 2);
     }
 
@@ -864,7 +829,7 @@ mod tests {
         retrieve_page(0, 0x80_0000, 0x20_0000, 0x1000, false, 2, Some(3), 0x7);
         assert_eq!(violations()[0].kind, "share_bad_owner");
         bind_slot(0, 1, 2);
-        check_dma(0, 1, 0x80_0040, 0x20_0040, false);
+        check_dma(1, 0x80_0040, 0x20_0040, false);
         assert_eq!(violations()[1].kind, "dma_unmapped");
     }
 
@@ -874,7 +839,8 @@ mod tests {
         // owner=None: a mirror frame on the retriever's device.
         retrieve_page(1, 0x80_0000, 0x40_0000, 0x20_0000, true, 6, None, 0x11);
         bind_slot(1, 0, 6);
-        check_dma(1, 0, 0x80_0040, 0x40_0040, true);
+        obs::set_device(1);
+        check_dma(0, 0x80_0040, 0x40_0040, true);
         check_cpu(1, 0x40_0000, 0x100, 6, true);
         assert_eq!(violation_count(), 0);
         // Sync copies adopt-check against the mirror's claimed vm.

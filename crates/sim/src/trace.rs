@@ -9,11 +9,9 @@
 //!
 //! # Gating
 //!
-//! Tracing is **off by default** and enabled by the `OPTIMUS_TRACE`
-//! environment variable (any non-empty value other than `"0"`), sampled
-//! once per thread; tests can override per thread with [`set_enabled`].
-//! When disabled every emit helper returns after a single thread-local
-//! flag read, so instrumented hot paths cost one predictable branch.
+//! Tracing is **off by default** (`OPTIMUS_TRACE`, see [`crate::obs`]).
+//! When the gate is off every emit helper returns after one thread-local
+//! read, so instrumented hot paths cost one predictable branch.
 //! Instrumentation is read-only with respect to simulation state — a
 //! traced run and an untraced run of the same workload produce bit-equal
 //! fingerprints (enforced by a differential property test in
@@ -25,13 +23,9 @@
 //! `OPTIMUS_TRACE_CAP`); when full, the oldest events are overwritten
 //! and counted in [`dropped`], so memory stays bounded no matter how
 //! long the run. Counters are exact regardless of ring occupancy.
-//!
-//! The recorder is thread-local on purpose: `cargo test` runs each test
-//! on its own thread, so concurrent tests never interleave events, and
-//! the hot path takes no lock.
 
+use crate::obs;
 use crate::time::Cycle;
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::io;
@@ -157,7 +151,7 @@ struct Event {
 }
 
 #[derive(Debug, Default)]
-struct Recorder {
+pub(crate) struct Recorder {
     buf: Vec<Event>,
     /// Next overwrite position once `buf.len() == cap`.
     head: usize,
@@ -169,7 +163,7 @@ struct Recorder {
 }
 
 impl Recorder {
-    fn with_capacity(cap: usize) -> Recorder {
+    pub(crate) fn with_capacity(cap: usize) -> Recorder {
         Recorder {
             cap: cap.max(1),
             ..Recorder::default()
@@ -190,133 +184,79 @@ impl Recorder {
     fn ordered(&self) -> impl Iterator<Item = &Event> {
         self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
     }
-}
 
-fn env_enabled() -> bool {
-    match std::env::var("OPTIMUS_TRACE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.dropped = 0;
+        self.counters.clear();
+    }
+
+    /// Drains everything recorded, leaving an empty ring of the same
+    /// capacity.
+    pub(crate) fn take(&mut self) -> Recorder {
+        std::mem::replace(self, Recorder::with_capacity(self.cap))
+    }
+
+    /// Replays another recorder's events as if emitted here (ring bounds
+    /// and drop accounting apply as usual); counters accumulate.
+    pub(crate) fn absorb(&mut self, other: Recorder) {
+        for &ev in other.ordered() {
+            self.push(ev);
+        }
+        self.dropped += other.dropped;
+        for (key, v) in other.counters {
+            *self.counters.entry(key).or_insert(0) += v;
+        }
     }
 }
 
-fn env_capacity() -> usize {
-    std::env::var("OPTIMUS_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CAPACITY)
-}
-
-thread_local! {
-    static ENABLED: Cell<bool> = Cell::new(env_enabled());
-    static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::with_capacity(env_capacity()));
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
+    obs::with(|c| f(&mut c.trace.borrow_mut()))
 }
 
 /// Returns `true` if the flight recorder is capturing on this thread.
-///
-/// A single thread-local read; instrumentation sites branch on this and
-/// fall through untouched when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.with(|c| c.get())
+    obs::gates().trace
 }
 
 /// Overrides the `OPTIMUS_TRACE` gate for the current thread (used by
 /// tests and the differential trace-on/off property).
 pub fn set_enabled(on: bool) {
-    ENABLED.with(|c| c.set(on));
+    obs::update_gates(|g| g.trace = on);
 }
 
 /// Discards all recorded events and counters (capacity is kept).
 pub fn reset() {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        r.buf.clear();
-        r.head = 0;
-        r.dropped = 0;
-        r.counters.clear();
-    });
+    with_recorder(Recorder::clear);
 }
 
 /// Resizes the ring buffer (dropping anything recorded so far).
 pub fn set_capacity(cap: usize) {
-    RECORDER.with(|r| *r.borrow_mut() = Recorder::with_capacity(cap));
+    with_recorder(|r| *r = Recorder::with_capacity(cap));
 }
 
 /// Number of events currently held in the ring.
 pub fn event_count() -> usize {
-    RECORDER.with(|r| r.borrow().buf.len())
+    with_recorder(|r| r.buf.len())
 }
 
 /// Number of events overwritten because the ring was full.
 pub fn dropped() -> u64 {
-    RECORDER.with(|r| r.borrow().dropped)
+    with_recorder(|r| r.dropped)
 }
 
-/// Events and counters drained from one thread's recorder, for replay on
-/// another thread. The node layer uses this to merge worker-thread
-/// recordings back into the main recorder in device-index order, so a
-/// parallel run's trace is byte-identical to a serial run's.
-///
-/// The contents are opaque: a chunk only moves between recorders.
-#[derive(Debug, Default)]
-pub struct TraceChunk {
-    events: Vec<Event>,
-    counters: HashMap<(Track, &'static str), u64>,
-    dropped: u64,
-}
-
-impl TraceChunk {
-    /// Number of events carried.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the chunk carries neither events nor counters.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.counters.is_empty() && self.dropped == 0
-    }
-}
-
-/// Drains this thread's recorder into a [`TraceChunk`] (events in
-/// emission order; the recorder is left empty with its capacity kept).
-pub fn take_chunk() -> TraceChunk {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        let events: Vec<Event> = r.ordered().copied().collect();
-        r.buf.clear();
-        r.head = 0;
-        TraceChunk {
-            events,
-            counters: std::mem::take(&mut r.counters),
-            dropped: std::mem::take(&mut r.dropped),
-        }
-    })
-}
-
-/// Replays a chunk into this thread's recorder as if its events had been
-/// emitted here: ring bounds and drop accounting apply as usual, and
-/// counters accumulate.
-pub fn absorb_chunk(chunk: TraceChunk) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        for ev in chunk.events {
-            r.push(ev);
-        }
-        r.dropped += chunk.dropped;
-        for (key, v) in chunk.counters {
-            *r.counters.entry(key).or_insert(0) += v;
-        }
-    });
-}
-
-#[inline]
+/// Records one event. Out of line and cold, like `bump`: with tracing off
+/// (the common case) an emission site inlines only its gate check.
+#[cold]
+#[inline(never)]
 fn emit(track: Track, name: &'static str, kind: EventKind, ts: Cycle, dur: Cycle, args: &[(&'static str, u64)]) {
     let mut packed = [("", 0u64); MAX_ARGS];
     let nargs = args.len().min(MAX_ARGS);
     packed[..nargs].copy_from_slice(&args[..nargs]);
-    RECORDER.with(|r| {
-        r.borrow_mut().push(Event {
+    with_recorder(|r| {
+        r.push(Event {
             track,
             name,
             kind,
@@ -331,78 +271,75 @@ fn emit(track: Track, name: &'static str, kind: EventKind, ts: Cycle, dur: Cycle
 /// Emits a point-in-time marker at cycle `ts`.
 #[inline]
 pub fn instant(track: Track, name: &'static str, ts: Cycle, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(track, name, EventKind::Instant, ts, 0, args);
     }
-    emit(track, name, EventKind::Instant, ts, 0, args);
 }
 
 /// Emits a span whose duration is already known (e.g. a trap cost or a
 /// DMA round-trip), stamped at its *start* cycle.
 #[inline]
 pub fn complete(track: Track, name: &'static str, ts: Cycle, dur: Cycle, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(track, name, EventKind::Complete, ts, dur, args);
     }
-    emit(track, name, EventKind::Complete, ts, dur, args);
 }
 
 /// Opens a nesting span (close it with [`end`] on the same track).
 #[inline]
 pub fn begin(track: Track, name: &'static str, ts: Cycle, args: &[(&'static str, u64)]) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(track, name, EventKind::Begin, ts, 0, args);
     }
-    emit(track, name, EventKind::Begin, ts, 0, args);
 }
 
 /// Closes the innermost open span on `track`.
 #[inline]
 pub fn end(track: Track, name: &'static str, ts: Cycle) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit(track, name, EventKind::End, ts, 0, &[]);
     }
-    emit(track, name, EventKind::End, ts, 0, &[]);
 }
 
 /// Opens a flow arrow (Perfetto `ph:"s"`): connect with a later
 /// [`flow_end`] carrying the same `id` (the job-lifecycle journal keys
 /// flows by `JobId`, so one job reads as one connected lane across
-/// preemption, migration, and share handoffs).
+/// preemption, migration, and share handoffs). Id 0 means "no job" and
+/// records nothing.
 #[inline]
 pub fn flow_start(track: Track, name: &'static str, ts: Cycle, id: u64) {
-    if !enabled() {
-        return;
+    if id != 0 && enabled() {
+        emit(track, name, EventKind::FlowStart, ts, id, &[]);
     }
-    emit(track, name, EventKind::FlowStart, ts, id, &[]);
 }
 
 /// Terminates a flow arrow (Perfetto `ph:"f"`, `bp:"e"`) opened by a
-/// [`flow_start`] with the same `id`.
+/// [`flow_start`] with the same `id` (0 records nothing).
 #[inline]
 pub fn flow_end(track: Track, name: &'static str, ts: Cycle, id: u64) {
-    if !enabled() {
-        return;
+    if id != 0 && enabled() {
+        emit(track, name, EventKind::FlowEnd, ts, id, &[]);
     }
-    emit(track, name, EventKind::FlowEnd, ts, id, &[]);
 }
 
 /// Adds `delta` to the per-track counter `name` in the registry.
 #[inline]
 pub fn count(track: Track, name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        bump(track, name, delta);
     }
-    RECORDER.with(|r| {
-        *r.borrow_mut().counters.entry((track, name)).or_insert(0) += delta;
-    });
+}
+
+#[cold]
+#[inline(never)]
+fn bump(track: Track, name: &'static str, delta: u64) {
+    with_recorder(|r| *r.counters.entry((track, name)).or_insert(0) += delta);
 }
 
 /// Snapshot of the counter registry as `("layer/track counter", value)`
 /// pairs in deterministic (track, name) order.
 pub fn counters() -> Vec<(String, u64)> {
-    RECORDER.with(|r| {
-        let r = r.borrow();
+    with_recorder(|r| {
         let mut entries: Vec<(&(Track, &'static str), &u64)> = r.counters.iter().collect();
         entries.sort_unstable_by_key(|&(&(track, name), _)| (track, name));
         entries
@@ -416,9 +353,8 @@ pub fn counters() -> Vec<(String, u64)> {
 /// names are interned `&'static str`s, so the hash lookup needs no
 /// allocation — cheap enough for watchdogs and tests to poll.
 pub fn counter_value(track: Track, name: &'static str) -> u64 {
-    RECORDER.with(|r| {
-        r.borrow()
-            .counters
+    with_recorder(|r| {
+        r.counters
             .get(&(track, name))
             .copied()
             .unwrap_or(0)
@@ -450,8 +386,7 @@ fn push_json_str(out: &mut String, s: &str) {
 /// (`dur`) are in microseconds of simulated time; the raw fabric-cycle
 /// stamp rides along in `args.cycle` (and `args.dur_cycles` for spans).
 pub fn chrome_trace_json() -> String {
-    RECORDER.with(|r| {
-        let r = r.borrow();
+    with_recorder(|r| {
         let mut events: Vec<&Event> = r.ordered().collect();
         events.sort_by_key(|e| e.ts);
 
@@ -657,11 +592,10 @@ mod tests {
         complete(Track::link(0), "dma_read", 12, 100, &[("bytes", 64)]);
         count(Track::iommu(), "misses", 3);
         let direct = chrome_trace_json();
-        let chunk = take_chunk();
-        assert_eq!(chunk.len(), 2);
+        let chunk = obs::take_chunk();
         assert_eq!(event_count(), 0);
         assert!(counters().is_empty());
-        absorb_chunk(chunk);
+        obs::absorb_chunk(chunk);
         assert_eq!(chrome_trace_json(), direct);
         assert_eq!(counter_value(Track::iommu(), "misses"), 3);
         reset();
@@ -678,14 +612,14 @@ mod tests {
                     set_enabled(true);
                     instant(Track::accel(dev as usize), "tick", 10 + dev, &[]);
                     count(Track::accel(dev as usize), "ticks", 1);
-                    take_chunk()
+                    obs::take_chunk()
                 })
                 .join()
                 .expect("worker"),
             );
         }
         for c in chunks {
-            absorb_chunk(c);
+            obs::absorb_chunk(c);
         }
         assert_eq!(event_count(), 2);
         assert_eq!(counter_value(Track::accel(0), "ticks"), 1);

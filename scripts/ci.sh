@@ -144,6 +144,8 @@ OPTIMUS_BENCH_DIR="$PWD/$TRACE_DIR-off" OPTIMUS_FIG5_QUICK=1 \
     cargo bench -q -p optimus-bench --bench fig5_latency >/dev/null
 python3 - "$TRACE_DIR" "$TRACE_DIR-off" <<'PYEOF'
 import json, sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 traced_dir, plain_dir = sys.argv[1], sys.argv[2]
 
@@ -188,14 +190,7 @@ print(f"ok: {len(counters)} trace counters appended to BENCH json")
 # (everything except wall-clock-dependent and trace-only fields) is
 # byte-identical between the traced and untraced runs. ---
 plain = json.load(open(f"{plain_dir}/BENCH_fig5_latency.json"))
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped")
-def fingerprint(d):
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-if fingerprint(traced) != fingerprint(plain):
+if fingerprint(traced, BASE_VOLATILE) != fingerprint(plain, BASE_VOLATILE):
     sys.exit("FAIL: tracing changed the bench fingerprint")
 print("ok: bench fingerprint byte-identical with tracing on and off")
 PYEOF
@@ -211,19 +206,13 @@ OPTIMUS_BENCH_DIR="$PWD/$NODE_DIR-par" OPTIMUS_NODE_THREADS=4 \
 OPTIMUS_BENCH_DIR="$PWD/$NODE_DIR-ser" OPTIMUS_NODE_THREADS=1 \
     cargo bench -q -p optimus-bench --bench cluster_scale >/dev/null
 python3 - "$NODE_DIR-par" "$NODE_DIR-ser" <<'PYEOF'
-import json, sys
+import sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 par_dir, ser_dir = sys.argv[1], sys.argv[2]
-par = json.load(open(f"{par_dir}/BENCH_cluster_scale.json"))
-ser = json.load(open(f"{ser_dir}/BENCH_cluster_scale.json"))
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped")
-def fingerprint(d):
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-if fingerprint(par) != fingerprint(ser):
+if fingerprint(f"{par_dir}/BENCH_cluster_scale.json", BASE_VOLATILE) != \
+   fingerprint(f"{ser_dir}/BENCH_cluster_scale.json", BASE_VOLATILE):
     sys.exit("FAIL: parallel device stepping changed the bench fingerprint")
 print("ok: cluster_scale fingerprint byte-identical, parallel vs serial")
 PYEOF
@@ -249,6 +238,8 @@ for d in off off2; do
 done
 python3 - "$MET_DIR-short" "$MET_DIR-on" "$MET_DIR-on2" "$MET_DIR-off" "$MET_DIR-off2" <<'PYEOF'
 import json, re, sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 short_dir, on_dir, on2_dir, off_dir, off2_dir = sys.argv[1:6]
 load = lambda d: json.load(open(f"{d}/BENCH_fig5_latency.json"))
@@ -263,14 +254,8 @@ if "metrics" in off:
 # --- 2. Metrics never change the measurement: fingerprints (minus the
 # metrics section itself) byte-identical on vs off; and the metrics
 # section itself is run-to-run deterministic. ---
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped", "metrics")
-def fingerprint(d):
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-if fingerprint(on) != fingerprint(off):
+VOLATILE = BASE_VOLATILE + ("metrics",)
+if fingerprint(on, VOLATILE) != fingerprint(off, VOLATILE):
     sys.exit("FAIL: the metrics plane changed the bench fingerprint")
 if json.dumps(on["metrics"], sort_keys=True) != json.dumps(on2["metrics"], sort_keys=True):
     sys.exit("FAIL: metrics section differs between identical runs")
@@ -362,30 +347,24 @@ OPTIMUS_BENCH_DIR="$PWD/$MIG_DIR-reb-par" OPTIMUS_NODE_THREADS=4 \
     cargo bench -q -p optimus-bench --bench migrate_rebalance >/dev/null
 python3 - "$MIG_DIR-lu" "$MIG_DIR-plain" "$MIG_DIR-reb-ser" "$MIG_DIR-reb-par" <<'PYEOF'
 import json, sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 lu_dir, plain_dir, ser_dir, par_dir = sys.argv[1:5]
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped")
-def fingerprint(path):
-    d = json.load(open(path))
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
 
 # --- 1. Live-updating the hypervisor mid-run must be invisible to every
 # measured figure: snapshot -> wire encoding -> fresh instance, then the
 # measurement window opens. Bit-identical or the snapshot lost state. ---
-if fingerprint(f"{lu_dir}/BENCH_fig5_latency.json") != \
-   fingerprint(f"{plain_dir}/BENCH_fig5_latency.json"):
+if fingerprint(f"{lu_dir}/BENCH_fig5_latency.json", BASE_VOLATILE) != \
+   fingerprint(f"{plain_dir}/BENCH_fig5_latency.json", BASE_VOLATILE):
     sys.exit("FAIL: hypervisor live-update changed the bench fingerprint")
 print("ok: fig5 fingerprint byte-identical with and without mid-run live-update")
 
 # --- 2. The watchdog-driven migration bench (preempt on the hot device,
 # IOPT replay on the cold one, resume) must not let the node's thread
 # schedule leak into the fairness-recovery figures. ---
-if fingerprint(f"{ser_dir}/BENCH_migrate_rebalance.json") != \
-   fingerprint(f"{par_dir}/BENCH_migrate_rebalance.json"):
+if fingerprint(f"{ser_dir}/BENCH_migrate_rebalance.json", BASE_VOLATILE) != \
+   fingerprint(f"{par_dir}/BENCH_migrate_rebalance.json", BASE_VOLATILE):
     sys.exit("FAIL: parallel stepping changed the migrate_rebalance fingerprint")
 print("ok: migrate_rebalance fingerprint byte-identical, serial vs parallel")
 
@@ -458,19 +437,13 @@ OPTIMUS_BENCH_DIR="$PWD/$SPEC_DIR-on" OPTIMUS_FIG5_QUICK=1 OPTIMUS_SPEC=1 \
 OPTIMUS_BENCH_DIR="$PWD/$SPEC_DIR-off" OPTIMUS_FIG5_QUICK=1 \
     cargo bench -q -p optimus-bench --bench fig5_latency >/dev/null
 python3 - "$SPEC_DIR-on" "$SPEC_DIR-off" <<'PYEOF'
-import json, sys
+import sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 on_dir, off_dir = sys.argv[1], sys.argv[2]
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped")
-def fingerprint(path):
-    d = json.load(open(path))
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-if fingerprint(f"{on_dir}/BENCH_fig5_latency.json") != \
-   fingerprint(f"{off_dir}/BENCH_fig5_latency.json"):
+if fingerprint(f"{on_dir}/BENCH_fig5_latency.json", BASE_VOLATILE) != \
+   fingerprint(f"{off_dir}/BENCH_fig5_latency.json", BASE_VOLATILE):
     sys.exit("FAIL: the isolation spec plane changed the bench fingerprint")
 print("ok: fig5 fingerprint byte-identical with the spec plane on and off")
 PYEOF
@@ -497,21 +470,14 @@ OPTIMUS_BENCH_DIR="$PWD/$PIPE_DIR-spec" OPTIMUS_SPEC=1 \
     cargo bench -q -p optimus-bench --bench pipeline_handoff >/dev/null
 python3 - "$PIPE_DIR-ser" "$PIPE_DIR-par" "$PIPE_DIR-spec" <<'PYEOF'
 import json, sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 ser_dir, par_dir, spec_dir = sys.argv[1:4]
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped")
-def fingerprint(path):
-    d = json.load(open(path))
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-
-base = fingerprint(f"{ser_dir}/BENCH_pipeline_handoff.json")
-if base != fingerprint(f"{par_dir}/BENCH_pipeline_handoff.json"):
+base = fingerprint(f"{ser_dir}/BENCH_pipeline_handoff.json", BASE_VOLATILE)
+if base != fingerprint(f"{par_dir}/BENCH_pipeline_handoff.json", BASE_VOLATILE):
     sys.exit("FAIL: parallel stepping changed the pipeline_handoff fingerprint")
-if base != fingerprint(f"{spec_dir}/BENCH_pipeline_handoff.json"):
+if base != fingerprint(f"{spec_dir}/BENCH_pipeline_handoff.json", BASE_VOLATILE):
     sys.exit("FAIL: the spec plane changed the pipeline_handoff fingerprint")
 print("ok: pipeline_handoff fingerprint byte-identical (serial vs parallel, spec on/off)")
 
@@ -566,6 +532,8 @@ for d in off on off2 on2; do
 done
 python3 - "$JRN_DIR-on" "$JRN_DIR-on2" "$JRN_DIR-off" "$JRN_DIR-off2" <<'PYEOF'
 import json, sys
+sys.path.insert(0, "scripts")
+from fingerprint import BASE_VOLATILE, fingerprint
 
 on_dir, on2_dir, off_dir, off2_dir = sys.argv[1:5]
 load = lambda d: json.load(open(f"{d}/BENCH_fig5_latency.json"))
@@ -581,14 +549,8 @@ if "slo" in off:
 # the slo section itself and the metrics section, which carries slo/*
 # series only when the journal is on) byte-identical on vs off; and the
 # slo section itself is run-to-run deterministic. ---
-VOLATILE = ("wall_secs", "sim_rate", "wall_points", "trace_counters",
-            "trace_events", "trace_dropped", "slo", "metrics")
-def fingerprint(d):
-    return json.dumps(
-        {k: v for k, v in d.items() if k not in VOLATILE},
-        sort_keys=True,
-    ).encode()
-if fingerprint(on) != fingerprint(off):
+VOLATILE = BASE_VOLATILE + ("slo", "metrics")
+if fingerprint(on, VOLATILE) != fingerprint(off, VOLATILE):
     sys.exit("FAIL: the job journal changed the bench fingerprint")
 if json.dumps(on["slo"], sort_keys=True) != json.dumps(on2["slo"], sort_keys=True):
     sys.exit("FAIL: slo section differs between identical runs")
