@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the hot paths: auditor translation, IOTLB lookup,
-//! page-table walks, mux-tree arbitration, and the per-line AES compute.
+//! page-table walks, mux-tree arbitration, the per-line AES compute, and
+//! whole-device stepping (single steps and batched runs).
 //!
 //! Runs on the in-tree `optimus-testkit` bench runner (criterion-like
 //! `bench_function` API, warm-up exclusion, `BENCH_micro.json` report).
 
+use optimus_accel::membench::MbKernel;
+use optimus_accel::registry::{build_accelerator, AccelKind};
 use optimus_algo::aes::Aes128;
 use optimus_cci::channel::SelectorPolicy;
 use optimus_cci::packet::{AccelId, Tag, UpPacket};
@@ -152,6 +155,49 @@ fn bench_device_step(c: &mut Bench) {
     });
 }
 
+/// Batched `FpgaDevice::run` on a saturated fabric: eight MemBench slots
+/// issuing mixed random reads and writes through the auditors, the mux
+/// tree and the host side every cycle. Unlike the single-step cases this
+/// goes through the burst loop `run` uses, which takes one observation tap
+/// per burst.
+fn bench_device_run_saturated(c: &mut Bench) {
+    c.bench_function("fpga_device_run_saturated", |b| {
+        let accels: Vec<Box<dyn Accelerator>> = (0..8)
+            .map(|i| build_accelerator(AccelKind::Mb, i))
+            .collect();
+        let mut dev = FpgaDevice::new_monitored(accels, 2, SelectorPolicy::Auto);
+        let region = 4 * PageSize::Huge.bytes();
+        for i in 0..32u64 {
+            dev.host_mut()
+                .iommu_mut()
+                .map(
+                    Iova::new(i * PageSize::Huge.bytes()),
+                    Hpa::new(i * PageSize::Huge.bytes()),
+                    PageSize::Huge,
+                    PageFlags::rw(),
+                )
+                .unwrap();
+        }
+        for slot in 0..8u64 {
+            let app = accel_mmio_base(slot as usize) + accel_reg::APP_BASE;
+            dev.mmio_write(app + MbKernel::REG_REGION, slot * region);
+            dev.mmio_write(app + MbKernel::REG_BYTES, region);
+            dev.mmio_write(app + MbKernel::REG_MODE, 2); // mixed reads and writes
+            dev.mmio_write(app + MbKernel::REG_OPS, 0); // run until stopped
+            dev.mmio_write(app + MbKernel::REG_SEED, 0x5eed + slot);
+            dev.mmio_write(
+                accel_mmio_base(slot as usize) + accel_reg::CTRL_CMD,
+                accel_reg::CMD_START,
+            );
+        }
+        dev.run(20_000); // fill the IOTLB and the queues
+        b.iter(|| {
+            dev.run(64);
+            dev.now()
+        })
+    });
+}
+
 fn main() {
     let mut c = Bench::new("micro");
     bench_auditor(&mut c);
@@ -160,5 +206,6 @@ fn main() {
     bench_mux_tree(&mut c);
     bench_aes_line(&mut c);
     bench_device_step(&mut c);
+    bench_device_run_saturated(&mut c);
     c.finish().expect("write bench report");
 }

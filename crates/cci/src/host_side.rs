@@ -23,12 +23,11 @@ use crate::packet::{DownPacket, UpPacket};
 use crate::params;
 use optimus_mem::host::HostMemory;
 use optimus_mem::iommu::{Iommu, IommuError, TlbLookup};
-use optimus_sim::metrics;
+use optimus_sim::metrics::{self, Tap};
 use optimus_sim::spec;
 use optimus_sim::time::Cycle;
 use optimus_sim::trace::{self, Track};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 struct Outbound {
     ready: Cycle,
@@ -36,26 +35,10 @@ struct Outbound {
     pkt: DownPacket,
 }
 
-impl PartialEq for Outbound {
-    fn eq(&self, other: &Self) -> bool {
-        self.ready == other.ready && self.seq == other.seq
-    }
-}
-impl Eq for Outbound {}
-impl PartialOrd for Outbound {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Outbound {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by (ready, seq).
-        other
-            .ready
-            .cmp(&self.ready)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
+/// Response lanes: one per physical channel (indexed by
+/// [`ChannelKind::index`]) plus one for CPU-originated MMIO.
+const LANES: usize = 4;
+const MMIO_LANE: usize = 3;
 
 /// The host-side model: channel set, IOMMU, DRAM, and the timing pipeline.
 pub struct HostSide {
@@ -64,7 +47,15 @@ pub struct HostSide {
     channels: ChannelSet,
     service_next_free: f64,
     walker_free: Vec<f64>,
-    outbound: BinaryHeap<Outbound>,
+    /// Host→FPGA packets in flight, released in `(ready, seq)` order.
+    ///
+    /// Each lane is a FIFO whose `(ready, seq)` never decreases, so the
+    /// minimum head is the minimum of all of them. Within a channel lane,
+    /// `ready = ceil(done + latency(kind))` with a fixed latency and `done`
+    /// strictly increasing (each service starts no earlier than the
+    /// previous one's `service_next_free`); in the MMIO lane,
+    /// `ready = now + mmio_latency` with `now` non-decreasing.
+    lanes: [VecDeque<Outbound>; LANES],
     seq: u64,
     faulted_dmas: u64,
     last_fault: Option<IommuError>,
@@ -80,7 +71,10 @@ impl core::fmt::Debug for HostSide {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("HostSide")
             .field("policy", &self.channels.policy())
-            .field("outbound", &self.outbound.len())
+            .field(
+                "outbound",
+                &self.lanes.iter().map(VecDeque::len).sum::<usize>(),
+            )
             .field("faulted_dmas", &self.faulted_dmas)
             .finish()
     }
@@ -95,7 +89,7 @@ impl HostSide {
             channels: ChannelSet::new(policy),
             service_next_free: 0.0,
             walker_free: vec![0.0; params::WALKERS],
-            outbound: BinaryHeap::new(),
+            lanes: Default::default(),
             seq: 0,
             faulted_dmas: 0,
             last_fault: None,
@@ -111,21 +105,32 @@ impl HostSide {
     /// (attributed to the channel switched *to*), plus a trace-gated
     /// `channel_switch` instant when the selector moved to a different
     /// physical channel. Never feeds back into timing.
-    fn account_channel(&mut self, kind: ChannelKind, now: Cycle) {
+    fn account_channel(&mut self, kind: ChannelKind, now: Cycle, tap: &mut Tap<'_>) {
         let idx = kind.index() as u32;
         let switched = self.last_kind.is_some_and(|prev| prev != kind);
-        metrics::inc(metrics::CCI_CHANNEL_PACKETS, idx, 1);
-        metrics::inc(metrics::CCI_CHANNEL_SWITCHES, idx, switched as u64);
-        if switched {
-            trace::instant(Track::channels(), "channel_switch", now, &[("channel", idx as u64)]);
-            trace::count(Track::channels(), metrics::def(metrics::CCI_CHANNEL_SWITCHES).name, 1);
+        tap.inc(metrics::CCI_CHANNEL_PACKETS, idx, 1);
+        tap.inc(metrics::CCI_CHANNEL_SWITCHES, idx, switched as u64);
+        if tap.trace {
+            if switched {
+                trace::instant(
+                    Track::channels(),
+                    "channel_switch",
+                    now,
+                    &[("channel", idx as u64)],
+                );
+                trace::count(
+                    Track::channels(),
+                    metrics::def(metrics::CCI_CHANNEL_SWITCHES).name,
+                    1,
+                );
+            }
+            let counter = match kind {
+                ChannelKind::Upi => "upi_packets",
+                ChannelKind::Pcie0 => "pcie0_packets",
+                ChannelKind::Pcie1 => "pcie1_packets",
+            };
+            trace::count(Track::channels(), counter, 1);
         }
-        let counter = match kind {
-            ChannelKind::Upi => "upi_packets",
-            ChannelKind::Pcie0 => "pcie0_packets",
-            ChannelKind::Pcie1 => "pcie1_packets",
-        };
-        trace::count(Track::channels(), counter, 1);
         self.last_kind = Some(kind);
     }
 
@@ -183,6 +188,12 @@ impl HostSide {
     /// arrival time. MMIO read responses are queued for
     /// [`take_mmio_response`](Self::take_mmio_response).
     pub fn submit(&mut self, pkt: UpPacket, now: Cycle) {
+        metrics::with_tap(|tap| self.submit_with(pkt, now, tap));
+    }
+
+    /// [`submit`](Self::submit) recording through the caller's burst-held
+    /// [`Tap`] (the FPGA shell's datapath).
+    pub fn submit_with(&mut self, pkt: UpPacket, now: Cycle, tap: &mut Tap<'_>) {
         match pkt {
             UpPacket::MmioReadResp { addr, value } => {
                 // MMIO responses return to the CPU mailbox; software costs
@@ -192,27 +203,43 @@ impl HostSide {
             }
             UpPacket::DmaRead { iova, src, tag } => {
                 let (arrival, kind) = self.channels.admit(now);
-                self.account_channel(kind, now);
-                match self.iommu.translate_tagged(iova, false, now, src.0 as u32) {
+                self.account_channel(kind, now, tap);
+                match self.iommu.translate_with(iova, false, now, src.0 as u32, tap) {
                     Ok(tr) => {
                         // The device scope is claimed by the stepping
                         // hypervisor before `device.run`, so it names
                         // the device this host side belongs to.
-                        spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), false);
-                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
+                        if tap.spec {
+                            spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), false);
+                        }
+                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32, tap);
                         let data = Box::new(self.memory.read_line(tr.hpa));
                         self.total_dma_bytes += 64;
                         let ready =
                             (done + self.channels.response_latency(kind)).ceil() as Cycle;
-                        metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
-                        metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        let link = Track::link(src.0 as usize);
-                        trace::complete(link, "dma_read", now, ready - now, &[("iova", iova.raw())]);
-                        trace::count(link, "dma_read_bytes", 64);
-                        self.push_outbound(DownPacket::DmaReadResp { data, dst: src, tag }, ready);
+                        tap.inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
+                        tap.observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
+                        if tap.trace {
+                            let link = Track::link(src.0 as usize);
+                            trace::complete(
+                                link,
+                                "dma_read",
+                                now,
+                                ready - now,
+                                &[("iova", iova.raw())],
+                            );
+                            trace::count(link, "dma_read_bytes", 64);
+                        }
+                        self.push_outbound(
+                            kind.index(),
+                            DownPacket::DmaReadResp { data, dst: src, tag },
+                            ready,
+                        );
                     }
                     Err(e) => {
-                        spec::check_dma_fault(src.0 as u32, iova.raw(), false);
+                        if tap.spec {
+                            spec::check_dma_fault(src.0 as u32, iova.raw(), false);
+                        }
                         self.faulted_dmas += 1;
                         self.last_fault = Some(e);
                     }
@@ -220,24 +247,40 @@ impl HostSide {
             }
             UpPacket::DmaWrite { iova, data, src, tag } => {
                 let (arrival, kind) = self.channels.admit(now);
-                self.account_channel(kind, now);
-                match self.iommu.translate_tagged(iova, true, now, src.0 as u32) {
+                self.account_channel(kind, now, tap);
+                match self.iommu.translate_with(iova, true, now, src.0 as u32, tap) {
                     Ok(tr) => {
-                        spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), true);
-                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32);
+                        if tap.spec {
+                            spec::check_dma(src.0 as u32, iova.raw(), tr.hpa.raw(), true);
+                        }
+                        let done = self.schedule_service(arrival, tr.lookup, src.0 as u32, tap);
                         self.memory.write_line(tr.hpa, &data);
                         self.total_dma_bytes += 64;
                         let ready =
                             (done + self.channels.response_latency(kind)).ceil() as Cycle;
-                        metrics::inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
-                        metrics::observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
-                        let link = Track::link(src.0 as usize);
-                        trace::complete(link, "dma_write", now, ready - now, &[("iova", iova.raw())]);
-                        trace::count(link, "dma_write_bytes", 64);
-                        self.push_outbound(DownPacket::DmaWriteAck { dst: src, tag }, ready);
+                        tap.inc(metrics::CCI_DMA_BYTES, src.0 as u32, 64);
+                        tap.observe(metrics::CCI_DMA_RT_CYCLES, src.0 as u32, ready - now);
+                        if tap.trace {
+                            let link = Track::link(src.0 as usize);
+                            trace::complete(
+                                link,
+                                "dma_write",
+                                now,
+                                ready - now,
+                                &[("iova", iova.raw())],
+                            );
+                            trace::count(link, "dma_write_bytes", 64);
+                        }
+                        self.push_outbound(
+                            kind.index(),
+                            DownPacket::DmaWriteAck { dst: src, tag },
+                            ready,
+                        );
                     }
                     Err(e) => {
-                        spec::check_dma_fault(src.0 as u32, iova.raw(), true);
+                        if tap.spec {
+                            spec::check_dma_fault(src.0 as u32, iova.raw(), true);
+                        }
                         self.faulted_dmas += 1;
                         self.last_fault = Some(e);
                     }
@@ -248,7 +291,13 @@ impl HostSide {
 
     /// Schedules translation-walk and DRAM-service stages; returns the time
     /// the line leaves DRAM.
-    fn schedule_service(&mut self, arrival: f64, lookup: TlbLookup, tenant: u32) -> f64 {
+    fn schedule_service(
+        &mut self,
+        arrival: f64,
+        lookup: TlbLookup,
+        tenant: u32,
+        tap: &mut Tap<'_>,
+    ) -> f64 {
         let translated = match lookup {
             TlbLookup::Hit | TlbLookup::HitSpeculative => arrival,
             TlbLookup::Miss { walk_steps } => {
@@ -266,23 +315,28 @@ impl HostSide {
                 // The walk's start/end cycles are only known here, where
                 // walker contention resolves, so the latency histogram is
                 // recorded here rather than in the IOMMU.
-                metrics::observe(
+                tap.observe(
                     metrics::MEM_PAGE_WALK_CYCLES,
                     tenant,
                     (done - start).ceil() as u64,
                 );
-                trace::complete(
-                    Track::iommu(),
-                    "page_walk",
-                    start.ceil() as Cycle,
-                    (done - start).ceil() as Cycle,
-                    &[("walker", walker_idx as u64), ("walk_steps", walk_steps as u64)],
-                );
-                trace::count(
-                    Track::iommu(),
-                    metrics::def(metrics::MEM_PAGE_WALK_CYCLES).name,
-                    (done - start).ceil() as u64,
-                );
+                if tap.trace {
+                    trace::complete(
+                        Track::iommu(),
+                        "page_walk",
+                        start.ceil() as Cycle,
+                        (done - start).ceil() as Cycle,
+                        &[
+                            ("walker", walker_idx as u64),
+                            ("walk_steps", walk_steps as u64),
+                        ],
+                    );
+                    trace::count(
+                        Track::iommu(),
+                        metrics::def(metrics::MEM_PAGE_WALK_CYCLES).name,
+                        (done - start).ceil() as u64,
+                    );
+                }
                 done
             }
         };
@@ -296,13 +350,33 @@ impl HostSide {
         svc_start + params::DRAM_ACCESS_NS / 2.5
     }
 
-    fn push_outbound(&mut self, pkt: DownPacket, ready: Cycle) {
+    fn push_outbound(&mut self, lane: usize, pkt: DownPacket, ready: Cycle) {
         self.seq += 1;
-        self.outbound.push(Outbound {
+        let lane_q = &mut self.lanes[lane];
+        debug_assert!(
+            lane_q.back().is_none_or(|o| o.ready <= ready),
+            "response lane {lane} out of order: ready {ready} behind {:?}",
+            lane_q.back().map(|o| o.ready)
+        );
+        lane_q.push_back(Outbound {
             ready,
             seq: self.seq,
             pkt,
         });
+    }
+
+    /// The lane whose head comes first in `(ready, seq)` order, if any
+    /// response is in flight.
+    fn head_lane(&self) -> Option<usize> {
+        let mut best: Option<(usize, Cycle, u64)> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(o) = lane.front() {
+                if best.is_none_or(|(_, r, s)| (o.ready, o.seq) < (r, s)) {
+                    best = Some((i, o.ready, o.seq));
+                }
+            }
+        }
+        best.map(|(i, _, _)| i)
     }
 
     /// Earliest future cycle at which the host side has something new to
@@ -313,7 +387,11 @@ impl HostSide {
     /// between submissions this horizon is exact: no internal state advances
     /// cycle by cycle.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let resp = self.outbound.peek().map(|o| o.ready);
+        let resp = self
+            .lanes
+            .iter()
+            .filter_map(|l| l.front().map(|o| o.ready))
+            .min();
         let mmio = self.mmio_mailbox.iter().map(|&(r, _, _)| r).min();
         match (resp, mmio) {
             (Some(a), Some(b)) => Some(a.min(b).max(now)),
@@ -339,8 +417,9 @@ impl HostSide {
     /// Pops the next host→FPGA packet whose arrival time has been reached.
     /// The shell calls this at most once per cycle.
     pub fn pop_response(&mut self, now: Cycle) -> Option<DownPacket> {
-        if self.outbound.peek().map(|o| o.ready <= now).unwrap_or(false) {
-            self.outbound.pop().map(|o| o.pkt)
+        let lane = &mut self.lanes[self.head_lane()?];
+        if lane.front()?.ready <= now {
+            lane.pop_front().map(|o| o.pkt)
         } else {
             None
         }
@@ -349,13 +428,13 @@ impl HostSide {
     /// Injects a CPU-originated MMIO write toward the FPGA.
     pub fn inject_mmio_write(&mut self, addr: u64, value: u64, now: Cycle) {
         let ready = now + self.mmio_latency;
-        self.push_outbound(DownPacket::MmioWrite { addr, value }, ready);
+        self.push_outbound(MMIO_LANE, DownPacket::MmioWrite { addr, value }, ready);
     }
 
     /// Injects a CPU-originated MMIO read toward the FPGA.
     pub fn inject_mmio_read(&mut self, addr: u64, now: Cycle) {
         let ready = now + self.mmio_latency;
-        self.push_outbound(DownPacket::MmioRead { addr }, ready);
+        self.push_outbound(MMIO_LANE, DownPacket::MmioRead { addr }, ready);
     }
 
     /// Yields an MMIO read response `(addr, value)` once its return flight
@@ -607,6 +686,126 @@ mod tests {
         let t = h.next_accept(0);
         assert!(!h.can_accept(t - 1), "accepts one cycle early");
         assert!(h.can_accept(t), "predicted accept time is wrong");
+    }
+
+    /// Which packet a response is, for matching pops against the model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Key {
+        Dma(u32),
+        Mmio(u64),
+    }
+
+    fn key(pkt: &DownPacket) -> Key {
+        match pkt {
+            DownPacket::DmaReadResp { tag, .. } | DownPacket::DmaWriteAck { tag, .. } => {
+                Key::Dma(tag.0)
+            }
+            DownPacket::MmioWrite { addr, .. } | DownPacket::MmioRead { addr } => Key::Mmio(*addr),
+        }
+    }
+
+    /// The per-channel FIFO lanes release responses, and report
+    /// `next_event`, in exactly the `(ready, seq)` order of one reference
+    /// min-heap over every push: random DMA reads and writes (first
+    /// touches of 48 mapped huge pages miss the IOTLB and walk, 16 more
+    /// pages fault) under every selector policy, interleaved with
+    /// CPU-originated MMIO reads and writes.
+    #[test]
+    fn response_lanes_release_in_reference_heap_order() {
+        use optimus_testkit::{gens, prop_assert, prop_assert_eq, runner::check};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        // (policy, [(op, huge page, cycles before the op)]); ops 0/1 are
+        // DMA read/write, 2/3 MMIO read/write.
+        let gen = gens::zip2(
+            gens::usize_in(0..3),
+            gens::vec_of(
+                gens::zip3(gens::u8_in(0..4), gens::u64_in(0..64), gens::u64_in(0..4)),
+                1..300,
+            ),
+        );
+        check(
+            "response_lanes_release_in_reference_heap_order",
+            &gen,
+            |(policy, ops): &(usize, Vec<(u8, u64, u64)>)| {
+                let policy =
+                    [SelectorPolicy::Auto, SelectorPolicy::UpiOnly, SelectorPolicy::PcieOnly][*policy];
+                let mut h = HostSide::new(policy);
+                for i in 0..48u64 {
+                    h.iommu_mut()
+                        .map(
+                            Iova::new(i * PageSize::Huge.bytes()),
+                            Hpa::new(i * PageSize::Huge.bytes()),
+                            PageSize::Huge,
+                            PageFlags::rw(),
+                        )
+                        .unwrap();
+                }
+                let mut model: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
+                let mut keys: Vec<Key> = vec![Key::Mmio(u64::MAX)];
+                let mut now: Cycle = 0;
+                // One shell cycle: check the horizon, pop at most one.
+                let cycle = |h: &mut HostSide,
+                                 model: &mut BinaryHeap<Reverse<(Cycle, u64)>>,
+                                 keys: &[Key],
+                                 now: Cycle|
+                 -> Result<(), String> {
+                    let want = model.peek().map(|Reverse((r, _))| (*r).max(now));
+                    prop_assert_eq!(h.next_event(now), want, "next_event at {}", now);
+                    let got = h.pop_response(now).map(|p| key(&p));
+                    let expect = match model.peek() {
+                        Some(&Reverse((r, seq))) if r <= now => {
+                            model.pop();
+                            Some(keys[seq as usize])
+                        }
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, expect, "pop at {}", now);
+                    Ok(())
+                };
+                for (n, &(op, page, gap)) in ops.iter().enumerate() {
+                    for _ in 0..gap {
+                        cycle(&mut h, &mut model, &keys, now)?;
+                        now += 1;
+                    }
+                    let iova = Iova::new(page * PageSize::Huge.bytes() + (n as u64 % 64) * 64);
+                    let (src, tag) = (AccelId(n as u8 % 8), Tag(n as u32));
+                    let seq_before = h.seq;
+                    match op {
+                        0 => h.submit(UpPacket::DmaRead { iova, src, tag }, now),
+                        1 => h.submit(
+                            UpPacket::DmaWrite { iova, data: Box::new([n as u8; 64]), src, tag },
+                            now,
+                        ),
+                        2 => h.inject_mmio_read(n as u64 * 8, now),
+                        _ => h.inject_mmio_write(n as u64 * 8, n as u64, now),
+                    }
+                    if h.seq != seq_before {
+                        prop_assert_eq!(h.seq, seq_before + 1);
+                        let pushed = h
+                            .lanes
+                            .iter()
+                            .filter_map(VecDeque::back)
+                            .find(|o| o.seq == h.seq)
+                            .expect("the new response is at the back of its lane");
+                        model.push(Reverse((pushed.ready, pushed.seq)));
+                        keys.push(if op < 2 { Key::Dma(n as u32) } else { Key::Mmio(n as u64 * 8) });
+                    } else {
+                        prop_assert!(op < 2 && page >= 48, "op {} on page {} pushed nothing", op, page);
+                    }
+                    cycle(&mut h, &mut model, &keys, now)?;
+                    now += 1;
+                }
+                while !model.is_empty() {
+                    cycle(&mut h, &mut model, &keys, now)?;
+                    now += 1;
+                }
+                prop_assert_eq!(h.next_event(now), None);
+                prop_assert!(h.pop_response(Cycle::MAX).is_none());
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use optimus_cci::host_side::HostSide;
 use optimus_cci::packet::{AccelId, DownPacket, UpPacket};
 use optimus_cci::params::{PASSTHROUGH_INJECT_INTERVAL, TREE_LEVEL_DOWN_CYCLES};
 use optimus_sim::clock::PlatformClock;
-use optimus_sim::metrics;
+use optimus_sim::metrics::{self, Tap};
 use optimus_sim::queue::TimedQueue;
 use optimus_sim::spec;
 use optimus_sim::time::{ClockDivider, Cycle};
@@ -255,20 +255,21 @@ impl FpgaDevice {
 
     /// Advances the machine one fabric cycle.
     pub fn step(&mut self) {
-        self.step_inner(optimus_sim::trace::enabled());
+        metrics::with_tap(|tap| self.step_inner(tap));
     }
 
-    /// The step body with the flight-recorder gate hoisted: batched
-    /// stepping ([`step_many`](PlatformClock::step_many)) reads the
-    /// thread-local once per burst instead of once per cycle. The gate is
-    /// constant within a `run` (workers set it before stepping, callers
-    /// between runs), so hoisting cannot change which cycles trace.
-    fn step_inner(&mut self, tracing: bool) {
+    /// The step body, recording through a [`Tap`] the caller took once:
+    /// batched stepping ([`step_many`](PlatformClock::step_many)) reads
+    /// the observation context once per burst instead of once per
+    /// recorded event. Gates and device scope are constant within a `run`
+    /// (workers set them before stepping, callers between runs), so
+    /// hoisting cannot change what is recorded.
+    fn step_inner(&mut self, tap: &mut Tap<'_>) {
         let now = self.now;
 
         // 1. Deliver at most one downstream packet.
         if let Some(pkt) = self.down_pipe.pop_ready(now) {
-            self.dispatch_down(pkt, now);
+            self.dispatch_down(pkt, now, tap);
         }
 
         // 2. Rising clock edges.
@@ -293,16 +294,17 @@ impl FpgaDevice {
                                 i,
                                 tag,
                                 now,
+                                tap,
                             ),
                         }
                     }
                 }
                 // 4. Tree arbitration.
-                tree.step(now);
+                tree.step_with(now, tap);
                 // 5. Shell: root → host (≤ 1 packet/cycle).
                 if self.host.can_accept(now) {
                     if let Some(pkt) = tree.pop_root(now) {
-                        self.host.submit(pkt, now);
+                        self.host.submit_with(pkt, now, tap);
                     }
                 }
             }
@@ -315,7 +317,7 @@ impl FpgaDevice {
                     let req = self.ports[0].take_pending().expect("pending checked");
                     match self.auditors[0].translate(req) {
                         Ok(pkt) => {
-                            self.host.submit(pkt, now);
+                            self.host.submit_with(pkt, now, tap);
                             self.pt_next_inject = now + PASSTHROUGH_INJECT_INTERVAL;
                         }
                         Err((tag, _)) => Self::abort_outbound(
@@ -324,6 +326,7 @@ impl FpgaDevice {
                             0,
                             tag,
                             now,
+                            tap,
                         ),
                     }
                 }
@@ -335,7 +338,7 @@ impl FpgaDevice {
             self.down_pipe.push(pkt, now + self.down_latency);
         }
 
-        if tracing {
+        if tap.trace {
             self.trace_preempt_phases(now);
         }
 
@@ -496,13 +499,14 @@ impl FpgaDevice {
         idx: usize,
         tag: optimus_cci::packet::Tag,
         now: Cycle,
+        tap: &mut Tap<'_>,
     ) {
         *dropped_packets += 1;
-        metrics::inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
+        tap.inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
         port.deliver(tag, None, now);
     }
 
-    fn dispatch_down(&mut self, pkt: DownPacket, now: Cycle) {
+    fn dispatch_down(&mut self, pkt: DownPacket, now: Cycle, tap: &mut Tap<'_>) {
         match &pkt {
             DownPacket::DmaReadResp { dst, .. } | DownPacket::DmaWriteAck { dst, .. } => {
                 let idx = dst.0 as usize;
@@ -521,22 +525,24 @@ impl FpgaDevice {
                             // `HvStats.discarded_dma` undercounted.
                             self.auditors[idx].count_discarded_dma();
                             self.dropped_packets += 1;
-                            metrics::inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
+                            tap.inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
                         }
                     }
                     _ => {
                         self.auditors[idx].count_discarded_dma();
                         self.dropped_packets += 1;
-                        metrics::inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
+                        tap.inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
                     }
                 }
             }
-            DownPacket::MmioWrite { addr, value } => self.mmio_dispatch(*addr, Some(*value), now),
-            DownPacket::MmioRead { addr } => self.mmio_dispatch(*addr, None, now),
+            DownPacket::MmioWrite { addr, value } => {
+                self.mmio_dispatch(*addr, Some(*value), now, tap)
+            }
+            DownPacket::MmioRead { addr } => self.mmio_dispatch(*addr, None, now, tap),
         }
     }
 
-    fn mmio_dispatch(&mut self, addr: u64, write: Option<u64>, now: Cycle) {
+    fn mmio_dispatch(&mut self, addr: u64, write: Option<u64>, now: Cycle, tap: &mut Tap<'_>) {
         // Shell region: a direct arena load/store.
         if addr < mmio::SHELL_SIZE {
             match write {
@@ -545,7 +551,7 @@ impl FpgaDevice {
                 }
                 None => {
                     let value = self.shell_regs[addr as usize];
-                    self.host.submit(UpPacket::MmioReadResp { addr, value }, now);
+                    self.host.submit_with(UpPacket::MmioReadResp { addr, value }, now, tap);
                 }
             }
             return;
@@ -567,7 +573,7 @@ impl FpgaDevice {
                 },
                 None => {
                     let value = self.vcu.read(offset);
-                    self.host.submit(UpPacket::MmioReadResp { addr, value }, now);
+                    self.host.submit_with(UpPacket::MmioReadResp { addr, value }, now, tap);
                 }
             }
             return;
@@ -579,29 +585,31 @@ impl FpgaDevice {
                     Some(value) => DownPacket::MmioWrite { addr, value },
                     None => DownPacket::MmioRead { addr },
                 }) {
-                    AuditVerdict::DeliverMmio { offset, write: Some(v) } => {
-                        spec::check_mmio_deliver(
-                            idx,
-                            addr,
-                            mmio::accel_mmio_base(idx),
-                            mmio::ACCEL_PAGE,
-                        );
-                        self.accels[idx].mmio_write(offset, v);
-                    }
-                    AuditVerdict::DeliverMmio { offset, write: None } => {
-                        spec::check_mmio_deliver(
-                            idx,
-                            addr,
-                            mmio::accel_mmio_base(idx),
-                            mmio::ACCEL_PAGE,
-                        );
-                        let value = self.accels[idx].mmio_read(offset);
-                        self.host.submit(UpPacket::MmioReadResp { addr, value }, now);
+                    AuditVerdict::DeliverMmio { offset, write } => {
+                        if tap.spec {
+                            spec::check_mmio_deliver(
+                                idx,
+                                addr,
+                                mmio::accel_mmio_base(idx),
+                                mmio::ACCEL_PAGE,
+                            );
+                        }
+                        match write {
+                            Some(v) => self.accels[idx].mmio_write(offset, v),
+                            None => {
+                                let value = self.accels[idx].mmio_read(offset);
+                                self.host.submit_with(
+                                    UpPacket::MmioReadResp { addr, value },
+                                    now,
+                                    tap,
+                                );
+                            }
+                        }
                     }
                     _ => {
                         self.auditors[idx].count_discarded_mmio();
                         self.dropped_packets += 1;
-                        metrics::inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
+                        tap.inc(metrics::FABRIC_AUDITOR_REJECTS, idx as u32, 1);
                     }
                 }
                 return;
@@ -611,7 +619,7 @@ impl FpgaDevice {
         self.dropped_packets += 1;
         if write.is_none() {
             self.host
-                .submit(UpPacket::MmioReadResp { addr, value: u64::MAX }, now);
+                .submit_with(UpPacket::MmioReadResp { addr, value: u64::MAX }, now, tap);
         }
     }
 
@@ -681,12 +689,13 @@ impl PlatformClock for FpgaDevice {
     }
 
     fn step_many(&mut self, k: Cycle) {
-        // Hoists the flight-recorder gate (and the step-call dispatch) out
-        // of the burst loop; otherwise identical to `k` single steps.
-        let tracing = optimus_sim::trace::enabled();
-        for _ in 0..k {
-            self.step_inner(tracing);
-        }
+        // One observation tap for the whole burst (and the step-call
+        // dispatch hoisted); otherwise identical to `k` single steps.
+        metrics::with_tap(|tap| {
+            for _ in 0..k {
+                self.step_inner(tap);
+            }
+        });
     }
 
     fn skip_to(&mut self, t: Cycle) {

@@ -14,7 +14,7 @@
 
 use optimus_cci::packet::UpPacket;
 use optimus_cci::params::{MONITOR_INJECT_INTERVAL, TREE_LEVEL_UP_CYCLES, TREE_QUEUE_CAPACITY};
-use optimus_sim::metrics;
+use optimus_sim::metrics::{self, Tap};
 use optimus_sim::queue::TimedQueue;
 use optimus_sim::time::Cycle;
 use optimus_sim::trace::{self, Track};
@@ -189,6 +189,12 @@ impl MuxTree {
 
     /// One fabric cycle of arbitration at every node.
     pub fn step(&mut self, now: Cycle) {
+        metrics::with_tap(|tap| self.step_with(now, tap));
+    }
+
+    /// [`step`](Self::step) recording through the caller's burst-held
+    /// [`Tap`] (the device's stepping loop).
+    pub fn step_with(&mut self, now: Cycle, tap: &mut Tap<'_>) {
         // Empty tree: arbitration is a pure no-op, skip the node scan.
         if self.occupancy == 0 {
             return;
@@ -214,8 +220,8 @@ impl MuxTree {
                     .inputs
                     .iter()
                     .any(|q| q.peek_ready(now).is_some());
-                metrics::inc(metrics::FABRIC_MUX_STALLS, idx as u32, ready_input as u64);
-                if ready_input {
+                tap.inc(metrics::FABRIC_MUX_STALLS, idx as u32, ready_input as u64);
+                if ready_input && tap.trace {
                     let t = Track::mux_node(idx);
                     trace::instant(t, "mux_stall", now, &[]);
                     trace::count(t, "stalls", 1);
@@ -238,17 +244,19 @@ impl MuxTree {
                 }
             }
             if let Some((i, pkt)) = taken {
-                metrics::inc(metrics::FABRIC_MUX_GRANTS, idx as u32, 1);
+                tap.inc(metrics::FABRIC_MUX_GRANTS, idx as u32, 1);
                 // Occupancy the winning input had when arbitration ran
                 // (the popped packet plus whatever is still queued).
-                metrics::observe(
+                tap.observe(
                     metrics::FABRIC_MUX_QUEUE_DEPTH,
                     idx as u32,
                     self.nodes[idx].inputs[i].len() as u64 + 1,
                 );
-                let t = Track::mux_node(idx);
-                trace::instant(t, "mux_grant", now, &[("input", i as u64)]);
-                trace::count(t, "grants", 1);
+                if tap.trace {
+                    let t = Track::mux_node(idx);
+                    trace::instant(t, "mux_grant", now, &[("input", i as u64)]);
+                    trace::count(t, "grants", 1);
+                }
                 self.nodes[idx].rr = if i + 1 == n_inputs { 0 } else { i + 1 };
                 self.nodes[idx].next_slot = now + MONITOR_INJECT_INTERVAL;
                 self.nodes[idx].occ -= 1;
@@ -264,7 +272,7 @@ impl MuxTree {
                             if port < self.forwarded_per_src.len() {
                                 self.forwarded_per_src[port] += 1;
                             }
-                            metrics::inc(metrics::FABRIC_PORT_FORWARDED, src.0 as u32, 1);
+                            tap.inc(metrics::FABRIC_PORT_FORWARDED, src.0 as u32, 1);
                         }
                         self.root_out.push(pkt, ready);
                         self.forwarded += 1;

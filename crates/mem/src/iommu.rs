@@ -25,7 +25,7 @@
 
 use crate::addr::{Hpa, Iova, PageSize};
 use crate::page_table::{PageFlags, PageTable};
-use optimus_sim::metrics;
+use optimus_sim::metrics::{self, Tap};
 use optimus_sim::time::Cycle;
 use optimus_sim::trace::{self, Track};
 
@@ -341,20 +341,39 @@ impl Iommu {
         now: Cycle,
         tenant: u32,
     ) -> Result<Translation, IommuError> {
+        metrics::with_tap(|tap| self.translate_with(iova, is_write, now, tenant, tap))
+    }
+
+    /// [`translate_tagged`](Self::translate_tagged) recording through the
+    /// caller's burst-held [`Tap`] (the CCI host side's datapath).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`translate`](Self::translate).
+    pub fn translate_with(
+        &mut self,
+        iova: Iova,
+        is_write: bool,
+        now: Cycle,
+        tenant: u32,
+        tap: &mut Tap<'_>,
+    ) -> Result<Translation, IommuError> {
         if let Some((hpa, lookup, writable)) = self.tlb.lookup(iova) {
             let metric = if lookup == TlbLookup::HitSpeculative {
                 metrics::MEM_IOTLB_SPEC_HITS
             } else {
                 metrics::MEM_IOTLB_HITS
             };
-            metrics::inc(metric, tenant, 1);
-            let name = if lookup == TlbLookup::HitSpeculative {
-                "iotlb_spec_hit"
-            } else {
-                "iotlb_hit"
-            };
-            trace::instant(Track::iommu(), name, now, &[("iova", iova.raw())]);
-            trace::count(Track::iommu(), metrics::def(metric).name, 1);
+            tap.inc(metric, tenant, 1);
+            if tap.trace {
+                let name = if lookup == TlbLookup::HitSpeculative {
+                    "iotlb_spec_hit"
+                } else {
+                    "iotlb_hit"
+                };
+                trace::instant(Track::iommu(), name, now, &[("iova", iova.raw())]);
+                trace::count(Track::iommu(), metrics::def(metric).name, 1);
+            }
             if is_write && !writable {
                 return Err(IommuError::WriteDenied { iova });
             }
@@ -375,28 +394,30 @@ impl Iommu {
                 let evictions_before = self.tlb.conflict_evictions;
                 self.tlb.fill(iova, page_base, size, flags.write);
                 let evicted = self.tlb.conflict_evictions > evictions_before;
-                metrics::inc(metrics::MEM_IOTLB_MISSES, tenant, 1);
-                metrics::inc(metrics::MEM_IOTLB_CONFLICT_EVICTIONS, tenant, evicted as u64);
-                let set = IoTlb::set_index(iova, size) as u64;
-                trace::instant(
-                    Track::iommu(),
-                    "iotlb_miss",
-                    now,
-                    &[("iova", iova.raw()), ("set", set), ("walk_steps", walk_steps as u64)],
-                );
-                trace::count(Track::iommu(), metrics::def(metrics::MEM_IOTLB_MISSES).name, 1);
-                if evicted {
+                tap.inc(metrics::MEM_IOTLB_MISSES, tenant, 1);
+                tap.inc(metrics::MEM_IOTLB_CONFLICT_EVICTIONS, tenant, evicted as u64);
+                if tap.trace {
+                    let set = IoTlb::set_index(iova, size) as u64;
                     trace::instant(
                         Track::iommu(),
-                        "iotlb_conflict_evict",
+                        "iotlb_miss",
                         now,
-                        &[("iova", iova.raw()), ("set", set)],
+                        &[("iova", iova.raw()), ("set", set), ("walk_steps", walk_steps as u64)],
                     );
-                    trace::count(
-                        Track::iommu(),
-                        metrics::def(metrics::MEM_IOTLB_CONFLICT_EVICTIONS).name,
-                        1,
-                    );
+                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IOTLB_MISSES).name, 1);
+                    if evicted {
+                        trace::instant(
+                            Track::iommu(),
+                            "iotlb_conflict_evict",
+                            now,
+                            &[("iova", iova.raw()), ("set", set)],
+                        );
+                        trace::count(
+                            Track::iommu(),
+                            metrics::def(metrics::MEM_IOTLB_CONFLICT_EVICTIONS).name,
+                            1,
+                        );
+                    }
                 }
                 Ok(Translation {
                     hpa: Hpa::new(pa),
@@ -405,9 +426,11 @@ impl Iommu {
             }
             None => {
                 self.faults += 1;
-                metrics::inc(metrics::MEM_IO_PAGE_FAULTS, tenant, 1);
-                trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
-                trace::count(Track::iommu(), metrics::def(metrics::MEM_IO_PAGE_FAULTS).name, 1);
+                tap.inc(metrics::MEM_IO_PAGE_FAULTS, tenant, 1);
+                if tap.trace {
+                    trace::instant(Track::iommu(), "io_page_fault", now, &[("iova", iova.raw())]);
+                    trace::count(Track::iommu(), metrics::def(metrics::MEM_IO_PAGE_FAULTS).name, 1);
+                }
                 Err(IommuError::Fault { iova })
             }
         }

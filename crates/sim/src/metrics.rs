@@ -33,6 +33,7 @@
 //! histograms) written next to the bench reports as `PROM_<name>.prom`.
 
 use crate::obs;
+use std::cell::RefMut;
 
 /// Index of a metric in [`REGISTRY`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -228,85 +229,139 @@ pub fn set_enabled(on: bool) {
     obs::update_gates(|g| g.metrics = on);
 }
 
-/// `!0` when the context records metrics, `0` when masked off.
-#[inline]
-fn mask(c: &obs::Ctx) -> u64 {
-    (c.gates.get().metrics as u64).wrapping_neg()
-}
-
 fn with_plane<R>(f: impl FnOnce(&Plane) -> R) -> R {
     obs::with(|c| f(&c.metrics.borrow()))
 }
 
-#[inline]
-fn scalar_add(c: &obs::Ctx, m: Metric, idx: usize, delta: u64) {
-    let mask = mask(c);
-    let mut p = c.metrics.borrow_mut();
-    let v = &mut p.scalars[m.0 as usize];
-    if v.len() <= idx {
-        v.resize(idx + 1, 0);
-    }
-    v[idx] = v[idx].wrapping_add(delta & mask);
+/// One stepping burst's handle on this thread's observation context: the
+/// metrics plane (borrowed for the tap's lifetime), the metrics mask, the
+/// device scope and the flight-recorder and spec gates, all read once when
+/// the tap is taken ([`with_tap`]).
+///
+/// The device datapath takes one tap per burst and passes it down, so a
+/// packet's counters cost a masked add each instead of a thread-local
+/// lookup, a gate read and a `RefCell` borrow each. Gates and scope are
+/// constant within a burst (they change only between runs), so recording
+/// through a tap is indistinguishable from the free functions below,
+/// which are themselves one-line wrappers over a tap.
+///
+/// While a tap is live the thread's metrics plane is mutably borrowed:
+/// code running under it records through the tap, never through
+/// [`inc`]/[`observe`] (which would panic on the double borrow).
+pub struct Tap<'a> {
+    plane: RefMut<'a, Plane>,
+    /// `!0` when the context records metrics, `0` when masked off.
+    mask: u64,
+    device: u32,
+    /// The flight-recorder gate: trace sites run `if tap.trace { .. }`.
+    pub trace: bool,
+    /// The isolation-spec gate: check sites run `if tap.spec { .. }`.
+    pub spec: bool,
 }
 
+/// Runs `f` with a [`Tap`] on this thread's observation context.
 #[inline]
-fn hist_add(c: &obs::Ctx, m: Metric, idx: usize, value: u64) {
-    let mask = mask(c);
-    let b = bucket_index(value);
-    let mut p = c.metrics.borrow_mut();
-    let h = &mut p.hists[m.0 as usize];
-    if h.len() <= idx {
-        h.resize(idx + 1, Hist::EMPTY);
-    }
-    let h = &mut h[idx];
-    h.buckets[b] = h.buckets[b].wrapping_add(1 & mask);
-    h.count = h.count.wrapping_add(1 & mask);
-    h.sum = h.sum.wrapping_add(value & mask);
-    // min: disabled ⇒ compare against MAX (no-op); max: against 0.
-    h.min = h.min.min(value | !mask);
-    h.max = h.max.max(value & mask);
+pub fn with_tap<R>(f: impl FnOnce(&mut Tap<'_>) -> R) -> R {
+    obs::with(|c| {
+        let g = c.gates.get();
+        f(&mut Tap {
+            plane: c.metrics.borrow_mut(),
+            mask: (g.metrics as u64).wrapping_neg(),
+            device: c.device.get(),
+            trace: g.trace,
+            spec: g.spec,
+        })
+    })
 }
 
-/// Adds `delta` to counter `m` for the scoped device. Branch-free on the
-/// enable gate: the add always executes, masked to zero when disabled.
+impl Tap<'_> {
+    /// Adds `delta` to counter `m` for the scoped device. Branch-free on
+    /// the enable gate: the add always executes, masked to zero when
+    /// disabled.
+    #[inline]
+    pub fn inc(&mut self, m: Metric, label: u32, delta: u64) {
+        self.inc_at(m, self.device, label, delta);
+    }
+
+    /// [`inc`](Self::inc) with an explicit device.
+    #[inline]
+    fn inc_at(&mut self, m: Metric, device: u32, label: u32, delta: u64) {
+        let idx = packed(device, label);
+        let v = &mut self.plane.scalars[m.0 as usize];
+        if v.len() <= idx {
+            v.resize(idx + 1, 0);
+        }
+        v[idx] = v[idx].wrapping_add(delta & self.mask);
+    }
+
+    /// Records `value` into histogram `m` for the scoped device (masked
+    /// like [`inc`](Self::inc)).
+    #[inline]
+    pub fn observe(&mut self, m: Metric, label: u32, value: u64) {
+        self.observe_at(m, self.device, label, value);
+    }
+
+    /// [`observe`](Self::observe) with an explicit device.
+    #[inline]
+    fn observe_at(&mut self, m: Metric, device: u32, label: u32, value: u64) {
+        let idx = packed(device, label);
+        let mask = self.mask;
+        let b = bucket_index(value);
+        let h = &mut self.plane.hists[m.0 as usize];
+        if h.len() <= idx {
+            h.resize(idx + 1, Hist::EMPTY);
+        }
+        let h = &mut h[idx];
+        h.buckets[b] = h.buckets[b].wrapping_add(1 & mask);
+        h.count = h.count.wrapping_add(1 & mask);
+        h.sum = h.sum.wrapping_add(value & mask);
+        // min: disabled ⇒ compare against MAX (no-op); max: against 0.
+        h.min = h.min.min(value | !mask);
+        h.max = h.max.max(value & mask);
+    }
+
+    /// Sets gauge `m` for the scoped device (masked: a disabled context
+    /// leaves the stored value untouched).
+    fn set_gauge(&mut self, m: Metric, label: u32, value: f64) {
+        let idx = packed(self.device, label);
+        let mask = self.mask;
+        let v = &mut self.plane.scalars[m.0 as usize];
+        if v.len() <= idx {
+            v.resize(idx + 1, 0);
+        }
+        v[idx] = (value.to_bits() & mask) | (v[idx] & !mask);
+    }
+}
+
+/// Adds `delta` to counter `m` for the scoped device ([`Tap::inc`]).
 #[inline]
 pub fn inc(m: Metric, label: u32, delta: u64) {
-    obs::with(|c| scalar_add(c, m, packed(c.device.get(), label), delta));
+    with_tap(|t| t.inc(m, label, delta));
 }
 
 /// [`inc`] with an explicit device (node-layer aggregation).
 #[inline]
 pub fn inc_at(m: Metric, device: u32, label: u32, delta: u64) {
-    obs::with(|c| scalar_add(c, m, packed(device, label), delta));
+    with_tap(|t| t.inc_at(m, device, label, delta));
 }
 
-/// Records `value` into histogram `m` for the scoped device (branch-free
-/// masked path, like [`inc`]).
+/// Records `value` into histogram `m` for the scoped device
+/// ([`Tap::observe`]).
 #[inline]
 pub fn observe(m: Metric, label: u32, value: u64) {
-    obs::with(|c| hist_add(c, m, packed(c.device.get(), label), value));
+    with_tap(|t| t.observe(m, label, value));
 }
 
 /// [`observe`] with an explicit device.
 #[inline]
 pub fn observe_at(m: Metric, device: u32, label: u32, value: u64) {
-    obs::with(|c| hist_add(c, m, packed(device, label), value));
+    with_tap(|t| t.observe_at(m, device, label, value));
 }
 
 /// Sets gauge `m` for the scoped device (masked: a disabled thread leaves
 /// the stored value untouched).
 pub fn set_gauge(m: Metric, label: u32, value: f64) {
-    obs::with(|c| {
-        let mask = mask(c);
-        let idx = packed(c.device.get(), label);
-        let bits = value.to_bits();
-        let mut p = c.metrics.borrow_mut();
-        let v = &mut p.scalars[m.0 as usize];
-        if v.len() <= idx {
-            v.resize(idx + 1, 0);
-        }
-        v[idx] = (bits & mask) | (v[idx] & !mask);
-    });
+    with_tap(|t| t.set_gauge(m, label, value));
 }
 
 // ---- Reads ---------------------------------------------------------------
@@ -672,6 +727,85 @@ mod tests {
             let series = line.rsplit_once(' ').map(|(s, _)| s).unwrap_or(line);
             assert!(seen.insert(series.to_string()), "duplicate series {series}");
         }
+    }
+
+    /// One recorded operation of the tap/free-function equivalence test.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Inc(Metric, u32, u64),
+        IncAt(Metric, u32, u32, u64),
+        Observe(Metric, u32, u64),
+        Gauge(Metric, u32, f64),
+    }
+
+    const OPS: [Op; 8] = [
+        Op::Inc(FABRIC_MUX_GRANTS, 1, 1),
+        Op::Inc(FABRIC_MUX_STALLS, 2, 0),
+        Op::Observe(FABRIC_MUX_QUEUE_DEPTH, 1, 3),
+        Op::Inc(CCI_DMA_BYTES, 5, 64),
+        Op::Observe(CCI_DMA_RT_CYCLES, 5, 411),
+        Op::IncAt(NODE_CHUNKS, 1, 0, 1),
+        Op::Gauge(FABRIC_FAIRNESS_JAIN, 0, 0.875),
+        Op::Observe(MEM_PAGE_WALK_CYCLES, 70, 0),
+    ];
+
+    /// Records `OPS` in three phases (gate on, masked off, on again)
+    /// under device scope 3, through the free functions or through one
+    /// tap per phase, and returns the snapshot as text.
+    fn record_phases(through_tap: bool) -> String {
+        std::thread::spawn(move || {
+            obs::set_device(3);
+            for on in [true, false, true] {
+                set_enabled(on);
+                let apply = |op: Op, t: Option<&mut Tap<'_>>| match (op, t) {
+                    (Op::Inc(m, l, d), Some(t)) => t.inc(m, l, d),
+                    (Op::Inc(m, l, d), None) => inc(m, l, d),
+                    (Op::IncAt(m, dev, l, d), Some(t)) => t.inc_at(m, dev, l, d),
+                    (Op::IncAt(m, dev, l, d), None) => inc_at(m, dev, l, d),
+                    (Op::Observe(m, l, v), Some(t)) => t.observe(m, l, v),
+                    (Op::Observe(m, l, v), None) => observe(m, l, v),
+                    (Op::Gauge(m, l, v), Some(t)) => t.set_gauge(m, l, v),
+                    (Op::Gauge(m, l, v), None) => set_gauge(m, l, v),
+                };
+                if through_tap {
+                    with_tap(|t| {
+                        for op in OPS {
+                            apply(op, Some(t));
+                        }
+                    });
+                } else {
+                    for op in OPS {
+                        apply(op, None);
+                    }
+                }
+            }
+            format!("{:?}", snapshot())
+        })
+        .join()
+        .expect("recording thread")
+    }
+
+    #[test]
+    fn tap_records_exactly_like_the_free_functions() {
+        let free = record_phases(false);
+        assert!(free.contains("device: 3"), "scoped series present: {free}");
+        assert_eq!(record_phases(true), free);
+    }
+
+    #[test]
+    fn masked_tap_records_nothing() {
+        set_enabled(false);
+        with_tap(|t| {
+            for op in OPS {
+                match op {
+                    Op::Inc(m, l, d) => t.inc(m, l, d),
+                    Op::IncAt(m, dev, l, d) => t.inc_at(m, dev, l, d),
+                    Op::Observe(m, l, v) => t.observe(m, l, v),
+                    Op::Gauge(m, l, v) => t.set_gauge(m, l, v),
+                }
+            }
+        });
+        assert!(snapshot().is_empty());
     }
 
     #[test]

@@ -13,12 +13,25 @@
 //! The metrics gate is applied as a mask on an always-executed add, so the
 //! metrics record path is branch-free.
 //!
+//! # The datapath tap
+//!
+//! The per-cycle device datapath (fabric mux tree and auditors, CCI host
+//! side, IOMMU) does not gate itself site by site. The device takes one
+//! [`crate::metrics::Tap`] per stepping burst ([`crate::metrics::with_tap`]),
+//! which reads the gates and the device scope **once** and holds the
+//! metrics plane for the burst, and passes it down: counters and
+//! histograms are recorded through the tap, trace and spec calls are
+//! skipped with `if tap.trace` / `if tap.spec`. Gates and scope change
+//! only between runs, so a burst-held value is the value every site would
+//! have read. The free recording functions are wrappers over a tap.
+//!
 //! # Device scope
 //!
 //! Deep layers (IOMMU, CCI host side, mux tree, auditors) record without
 //! knowing which FPGA they belong to. The hypervisor claims the scope with
 //! [`set_device`] before it steps its device; metrics series and spec
-//! checks issued underneath read it back with [`device`].
+//! checks issued underneath read it back with [`device`] (the datapath
+//! through its burst's tap).
 //!
 //! # Chunks
 //!

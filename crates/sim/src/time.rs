@@ -79,6 +79,10 @@ pub fn gbps(bytes: u64, cycles: Cycle) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDivider {
     divisor: u64,
+    /// `divisor - 1` when the divisor is a power of two (every divisor in
+    /// the accelerator registry is), else [`Self::NOT_POW2`]: an edge test
+    /// is then one AND instead of a runtime divide.
+    mask: u64,
 }
 
 impl ClockDivider {
@@ -89,8 +93,17 @@ impl ClockDivider {
     /// Panics if `divisor` is zero.
     pub fn new(divisor: u64) -> Self {
         assert!(divisor > 0, "clock divisor must be positive");
-        Self { divisor }
+        let mask = if divisor.is_power_of_two() {
+            divisor - 1
+        } else {
+            Self::NOT_POW2
+        };
+        Self { divisor, mask }
     }
+
+    /// [`mask`](Self::mask) of a divisor that is not a power of two (no
+    /// power of two below 2^64 has this as its `divisor - 1`).
+    const NOT_POW2: u64 = u64::MAX;
 
     /// Creates a divider for a frequency given in MHz.
     ///
@@ -110,8 +123,13 @@ impl ClockDivider {
     }
 
     /// Returns `true` when fabric cycle `now` carries a rising edge.
+    #[inline]
     pub fn tick(&mut self, now: Cycle) -> bool {
-        now % self.divisor == 0
+        if self.mask != Self::NOT_POW2 {
+            now & self.mask == 0
+        } else {
+            now.is_multiple_of(self.divisor)
+        }
     }
 
     /// First fabric cycle at or after `at` that carries a rising edge.
@@ -193,6 +211,16 @@ mod tests {
     #[should_panic(expected = "does not divide")]
     fn divider_rejects_non_integer_ratio() {
         ClockDivider::from_mhz(300);
+    }
+
+    #[test]
+    fn tick_matches_modulo_for_every_small_divisor() {
+        for d in 1..=8u64 {
+            let mut div = ClockDivider::new(d);
+            for now in 0..1000u64 {
+                assert_eq!(div.tick(now), now % d == 0, "divisor {d} at cycle {now}");
+            }
+        }
     }
 
     #[test]

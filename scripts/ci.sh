@@ -4,7 +4,10 @@
 #  1. Hermetic-build check: no Cargo.toml may declare a registry dependency
 #     (everything must be an in-tree path dependency).
 #  2. Tier-1: cargo build --release && cargo test -q (plus the full
-#     workspace test suite).
+#     workspace test suite), then the same fabric/hypervisor suites with
+#     fast-forward off (2b) and the perfbench self-tests (2c: golden
+#     digests of every workload, so a speed-up that changes what is
+#     simulated fails here).
 #  3. Bench smoke: run every bench target once at tiny scales and check
 #     that each emits its BENCH_<target>.json report.
 #  4. Trace smoke: run one fig5 sweep point with OPTIMUS_TRACE=1, validate
@@ -107,6 +110,12 @@ echo "== [2b/11] fast-forward differential equivalence (per-cycle mode) =="
 # an explicitly re-enabled fast path, and every other test exercises the
 # seed's original cycle loop.
 OPTIMUS_NO_FASTFWD=1 cargo test -q -p optimus-fabric -p optimus
+
+echo "== [2c/11] perfbench self-tests (golden digests: the simulation is unchanged) =="
+# perfbench is its own workspace (it builds the simulator crates from
+# source); its self-tests run every workload at seeds with recorded golden
+# digests, and a digest mismatch is a failed operation.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== [3/11] bench smoke (tiny scales, one JSON report per target) =="
 BENCH_DIR="target/bench-reports-ci"
